@@ -198,7 +198,7 @@ def _validate(values: dict) -> RunConfig:
         raise ValidationError(f"experiment '{kind}' requires 'eta'")
     if kind in ("period-sweep", "floquet") and not experiment.eta_list:
         raise ValidationError(f"experiment '{kind}' requires 'eta_list'")
-    if kind == "first-return" and not (experiment.eta_list or experiment.eta):
+    if kind == "first-return" and not experiment.eta_list and experiment.eta is None:
         raise ValidationError("experiment 'first-return' requires 'eta' or 'eta_list'")
     if kind == "floquet" and not experiment.lambdas:
         raise ValidationError("experiment 'floquet' requires 'lambdas'")
@@ -207,7 +207,8 @@ def _validate(values: dict) -> RunConfig:
         raise ValidationError(
             "random_direction perturbations require an explicit seed "
             "(reproducibility is a contract, there is no default)")
-    for e in (experiment.eta_list or ()) + ((experiment.eta,) if experiment.eta else ()):
+    single = (experiment.eta,) if experiment.eta is not None else ()
+    for e in (experiment.eta_list or ()) + single:
         if not (0.0 < e < params.center):
             raise ValidationError(
                 f"eta = {e} must lie in (0, m^(1/p)) = (0, {params.center:.6g})")
@@ -528,6 +529,10 @@ def main(argv=None) -> int:
         if args.output:
             cfg.output_dir = args.output
         if args.seed is not None:
+            if cfg.experiment.seeds:
+                raise ValidationError(
+                    "--seed cannot override a config that sets 'seeds'; "
+                    "remove one of the two")
             cfg.experiment.seed = args.seed
         if args.formats:
             formats = tuple(f.strip() for f in args.formats.split(","))

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState
-from .spectra import ModelParams, SpectrumTable, _grid_power, _project_power_raw
+from .spectra import (ModelParams, SpectrumTable, _analysis, _grid_power,
+                      _project_power_raw, _synthesis)
 
 __all__ = [
     "State", "EnergyBreakdown", "potential_f", "f_prime", "force",
@@ -92,13 +93,19 @@ def force(x: float, params: ModelParams):
     return params.m ** 2 * x - x ** (2 * params.p + 1)
 
 
+def _energy(s: State, g: np.ndarray, table: SpectrumTable,
+            params: ModelParams) -> tuple[float, float]:
+    """Total energy H and the grid mean of u^(2p+2), given the grid values
+    g of u; the quadrature of the nonlinear term is exact."""
+    mean_pow = float(np.mean(_grid_power(g, 2 * params.p + 2)))
+    quad = 0.5 * float(np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2))
+    return quad + mean_pow / (2 * params.p + 2), mean_pow
+
+
 def hamiltonian(s: State, table: SpectrumTable, params: ModelParams) -> float:
     """Total energy by exact quadrature of the nonlinear term."""
     validate_state(s, table)
-    quad = 0.5 * float(np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2))
-    g = s.a @ table.basis
-    mean_pow = float(np.mean(_grid_power(g, 2 * params.p + 2)))
-    return quad + mean_pow / (2 * params.p + 2)
+    return _energy(s, _synthesis(s.a, table), table, params)[0]
 
 
 def rhs(s: State, table: SpectrumTable, params: ModelParams) -> State:
@@ -118,8 +125,7 @@ def q_vector(s: State, table: SpectrumTable, params: ModelParams) -> np.ndarray:
     when the high modes vanish.
     """
     validate_state(s, table)
-    g = s.a @ table.basis
-    return _q_from_grid(g, float(s.a[0]), table, params)
+    return _q_from_grid(_synthesis(s.a, table), float(s.a[0]), table, params)
 
 
 def _q_from_grid(g: np.ndarray, a0: float, table: SpectrumTable,
@@ -128,10 +134,7 @@ def _q_from_grid(g: np.ndarray, a0: float, table: SpectrumTable,
     u_high = g - a0            # grid values of U; exactly zero for planar states
     integrand = _grid_power(g, 2 * p + 1) - a0 ** (2 * p + 1) \
         - (2 * p + 1) * a0 ** (2 * p) * u_high
-    offset = integrand[0]
-    coeffs = (integrand - offset) @ table.basis_t_mean
-    coeffs[0] += offset
-    return coeffs
+    return _analysis(integrand, table)
 
 
 def energy_breakdown(s: State, table: SpectrumTable, params: ModelParams) -> EnergyBreakdown:
@@ -140,10 +143,8 @@ def energy_breakdown(s: State, table: SpectrumTable, params: ModelParams) -> Ene
     m2, p = params.m ** 2, params.p
     a0, b0 = float(s.a[0]), float(s.b[0])
 
-    g = s.a @ table.basis
-    mean_pow = float(np.mean(_grid_power(g, 2 * p + 2)))
-    H = 0.5 * float(np.sum((table.lam_sq - m2) * s.a ** 2 + s.b ** 2)) \
-        + mean_pow / (2 * p + 2)
+    g = _synthesis(s.a, table)
+    H, mean_pow = _energy(s, g, table, params)
     J = 0.5 * float(np.sum((table.lam_sq[1:] - m2) * s.a[1:] ** 2 + s.b[1:] ** 2))
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
     shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * float(np.sum(s.a[1:] ** 2))

@@ -7,10 +7,21 @@ to 1).  The quadrature grid carries (2p+2)K + 1 equispaced nodes per axis,
 so products of up to 2p+2 basis functions are integrated exactly by the
 rectangle rule.  That removes aliasing entirely: every projection of the
 power nonlinearity computed here is exact up to rounding.
+
+Because the basis is a tensor product, the table stores only the per-axis
+factor matrix F, shaped (2K+1) x n_axis with rows const, cos1, sin1, ...,
+its scaled transpose F.T / n_axis, and the map from the eigenvalue-sorted
+mode index to the flat tensor index.  Synthesis and analysis contract one
+axis at a time (sum factorisation), so a transform costs O(d K n^d) and
+the table O(d K n + n^d) memory instead of the O(K^d n^d) of a dense mode
+x node matrix.  In 1D the mode order is the tensor order and each
+transform is a single matrix product.  The dense matrix is still available
+as the reference view ``SpectrumTable.basis``, built on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -89,16 +100,17 @@ class SpectrumTable:
     lam_sq: np.ndarray
     grid_shape: tuple[int, ...]
     nodes: tuple[np.ndarray, ...]
-    basis: np.ndarray = field(repr=False)        # (mode_count, n_nodes)
-    basis_t_mean: np.ndarray = field(repr=False)  # basis.T / n_nodes
+    factor: np.ndarray = field(repr=False)         # (2K+1, n_axis), rows const, cos1, sin1, ...
+    factor_t_mean: np.ndarray = field(repr=False)  # factor.T / n_axis
+    order: np.ndarray = field(repr=False)          # flat tensor index of each mode
 
     @property
     def mode_count(self) -> int:
-        return self.basis.shape[0]
+        return len(self.modes)
 
     @property
     def n_nodes(self) -> int:
-        return self.basis.shape[1]
+        return math.prod(self.grid_shape)
 
     @property
     def lambda_1(self) -> float:
@@ -106,10 +118,25 @@ class SpectrumTable:
         positive = self.lam[self.lam > 0]
         return float(positive.min())
 
+    @property
+    def basis(self) -> np.ndarray:
+        """Dense (mode_count, n_nodes) matrix of basis values at the nodes.
+
+        A reference view built from the per-axis factors on every read; the
+        transforms never use it.  Its size grows like K^(2 dim).
+        """
+        dense = functools.reduce(np.kron, [self.factor] * len(self.grid_shape))
+        return dense[self.order]
+
+    @property
+    def basis_t_mean(self) -> np.ndarray:
+        """Reference view basis.T / n_nodes, built on every read."""
+        return np.ascontiguousarray(self.basis.T) / self.n_nodes
+
 
 def build_spectrum(params: ModelParams) -> SpectrumTable:
-    """Enumerate all modes with per-axis index <= cutoff and tabulate their
-    values on the dealiased tensor grid.
+    """Enumerate all modes with per-axis index <= cutoff and tabulate the
+    per-axis factors on the dealiased grid.
 
     Modes are sorted by eigenvalue, ties broken lexicographically by
     wavevector then (const, cos, sin), so indexing is deterministic.
@@ -119,13 +146,15 @@ def build_spectrum(params: ModelParams) -> SpectrumTable:
     n_axis = (2 * params.p + 2) * K + 1
     grid_shape = (n_axis,) * dim
 
+    # The position of a combination in itertools.product is its flat
+    # (C-order) index in the tensor of per-axis factor rows.
     axis_factors = [(0, "const")] + [(k, t) for k in range(1, K + 1) for t in ("cos", "sin")]
     records = []
-    for combo in itertools.product(axis_factors, repeat=dim):
+    for flat, combo in enumerate(itertools.product(axis_factors, repeat=dim)):
         wavevector = tuple(k for k, _ in combo)
         kinds = tuple(t for _, t in combo)
         lam_sq = sum((2.0 * math.pi * k / L) ** 2 for k, L in zip(wavevector, periods))
-        records.append((lam_sq, wavevector, tuple(_KIND_CODE[t] for t in kinds), kinds))
+        records.append((lam_sq, wavevector, tuple(_KIND_CODE[t] for t in kinds), kinds, flat))
     records.sort(key=lambda r: (r[0], r[1], r[2]))
 
     lam_sq = np.array([r[0] for r in records])
@@ -137,34 +166,64 @@ def build_spectrum(params: ModelParams) -> SpectrumTable:
 
     # Per-axis factor values on the equidistant nodes x_j = j L / n; the
     # rescaled argument 2 pi k x / L = 2 pi k j / n does not depend on L.
-    j = np.arange(n_axis)
-    factor_values = {(0, "const"): np.ones(n_axis)}
-    for k in range(1, K + 1):
-        theta = 2.0 * math.pi * k * j / n_axis
-        factor_values[(k, "cos")] = math.sqrt(2.0) * np.cos(theta)
-        factor_values[(k, "sin")] = math.sqrt(2.0) * np.sin(theta)
+    # The constant row is exactly 1.0, so constant fields stay exact.
+    theta = np.outer(2.0 * math.pi * np.arange(1, K + 1), np.arange(n_axis)) / n_axis
+    factor = np.empty((2 * K + 1, n_axis))
+    factor[0] = 1.0
+    factor[1::2] = math.sqrt(2.0) * np.cos(theta)
+    factor[2::2] = math.sqrt(2.0) * np.sin(theta)
 
-    n_total = n_axis ** dim
-    basis = np.empty((len(records), n_total))
-    modes = []
-    for idx, (ls, wavevector, _, kinds) in enumerate(records):
-        row = factor_values[(wavevector[0], kinds[0])]
-        for axis in range(1, dim):
-            row = np.multiply.outer(row, factor_values[(wavevector[axis], kinds[axis])])
-        basis[idx] = row.ravel()
-        modes.append(Mode(index=idx, wavevector=wavevector, kinds=kinds, lam=float(math.sqrt(ls))))
-
+    modes = tuple(Mode(index=idx, wavevector=wavevector, kinds=kinds, lam=float(math.sqrt(ls)))
+                  for idx, (ls, wavevector, _, kinds, _) in enumerate(records))
     nodes = tuple(np.arange(n_axis) * (L / n_axis) for L in periods)
     return SpectrumTable(
         params=params,
-        modes=tuple(modes),
+        modes=modes,
         lam=lam,
         lam_sq=lam_sq,
         grid_shape=grid_shape,
         nodes=nodes,
-        basis=basis,
-        basis_t_mean=np.ascontiguousarray(basis.T) / n_total,
+        factor=factor,
+        factor_t_mean=np.ascontiguousarray(factor.T) / n_axis,
+        order=np.array([r[4] for r in records], dtype=np.intp),
     )
+
+
+def _synthesis(a: np.ndarray, table: SpectrumTable) -> np.ndarray:
+    """Flat (C-order) grid values of sum_n a_n e_n.
+
+    Beyond 1D the coefficients are scattered into tensor order and each
+    step contracts the leading axis with the factor matrix, appending the
+    node axis last; after dim steps the axes are back in order.
+    """
+    factor = table.factor
+    if len(table.grid_shape) == 1:
+        return a @ factor
+    g = np.zeros(factor.shape[0] ** len(table.grid_shape))
+    g[table.order] = a
+    for _ in table.grid_shape:
+        g = g.reshape(factor.shape[0], -1).T @ factor
+    return g.reshape(-1)
+
+
+def _analysis(g: np.ndarray, table: SpectrumTable) -> np.ndarray:
+    """Mode coefficients of flat grid values by the rectangle rule.
+
+    A constant offset is split off first: the offset lands entirely in the
+    constant mode, and exactly-constant fields get exactly-zero
+    coefficients on every nonconstant mode.
+    """
+    offset = g[0]
+    weights = table.factor_t_mean
+    if len(table.grid_shape) == 1:
+        coeffs = (g - offset) @ weights
+    else:
+        coeffs = g - offset
+        for _ in table.grid_shape:
+            coeffs = coeffs.reshape(weights.shape[0], -1).T @ weights
+        coeffs = coeffs.reshape(-1)[table.order]
+    coeffs[0] += offset
+    return coeffs
 
 
 def to_grid(a: np.ndarray, table: SpectrumTable) -> np.ndarray:
@@ -173,26 +232,20 @@ def to_grid(a: np.ndarray, table: SpectrumTable) -> np.ndarray:
     if a.shape != (table.mode_count,):
         raise DimensionMismatch(
             f"expected {table.mode_count} mode coefficients, got shape {a.shape}")
-    return (a @ table.basis).reshape(table.grid_shape)
+    return _synthesis(a, table).reshape(table.grid_shape)
 
 
 def to_modes(g: np.ndarray, table: SpectrumTable) -> np.ndarray:
     """Project grid values onto the basis by the rectangle rule.
 
-    Exact for trigonometric polynomials up to the dealiased degree.  A
-    constant offset is split off first: the offset lands entirely in the
-    constant mode, and exactly-constant fields get exactly-zero
-    coefficients on every nonconstant mode.
+    Exact for trigonometric polynomials up to the dealiased degree; a
+    constant field has exactly-zero coefficients on every nonconstant mode.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != table.grid_shape and g.shape != (table.n_nodes,):
         raise DimensionMismatch(
             f"expected grid shape {table.grid_shape}, got {g.shape}")
-    flat = g.reshape(-1)
-    offset = flat[0]
-    coeffs = (flat - offset) @ table.basis_t_mean
-    coeffs[0] += offset
-    return coeffs
+    return _analysis(g.reshape(-1), table)
 
 
 def project_power(a: np.ndarray, exponent: int, table: SpectrumTable) -> np.ndarray:
@@ -220,9 +273,4 @@ def _grid_power(g: np.ndarray, exponent: int) -> np.ndarray:
 
 def _project_power_raw(a: np.ndarray, exponent: int, table: SpectrumTable) -> np.ndarray:
     """Unchecked synthesis-power-analysis kernel (hot path of the integrators)."""
-    g = a @ table.basis
-    gp = _grid_power(g, exponent)
-    offset = gp[0]
-    coeffs = (gp - offset) @ table.basis_t_mean
-    coeffs[0] += offset
-    return coeffs
+    return _analysis(_grid_power(_synthesis(a, table), exponent), table)

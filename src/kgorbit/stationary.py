@@ -87,11 +87,6 @@ class PeriodicOrbit:
     b0: np.ndarray = field(repr=False)
     energy_level: float = 0.0
 
-    @property
-    def samples(self) -> list[tuple[float, PlanarState]]:
-        return [(float(t), PlanarState(float(a), float(b)))
-                for t, a, b in zip(self.times, self.a0, self.b0)]
-
 
 def homoclinic(t: float, params: ModelParams) -> PlanarState:
     """The saddle loop (h(t), h'(t)) in closed form."""

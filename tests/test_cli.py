@@ -93,8 +93,9 @@ class TestParse:
         assert "seed" in str(err.value)
 
     def test_eta_range_checked(self):
-        with pytest.raises(ValidationError):
-            parse_config(MINIMAL.replace("eta = 0.1", "eta = 0.7"))
+        for eta in ("0.7", "0", "-0.1"):
+            with pytest.raises(ValidationError, match="must lie in"):
+                parse_config(MINIMAL.replace("eta = 0.1", f"eta = {eta}"))
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\n" + MINIMAL
@@ -220,7 +221,7 @@ class TestMain:
         assert (out_dir / "simulate.json").exists()
         assert not (out_dir / "simulate.csv").exists()
 
-    def test_seed_override(self, tmp_path):
+    def test_seed_override(self, tmp_path, capsys):
         text = MINIMAL.replace(
             "kind = simulate\neta = 0.1",
             "kind = simulate\neta = 0.1\ndistribution = random_direction\n"
@@ -238,3 +239,13 @@ class TestMain:
         j3 = json.loads((out3 / "simulate.json").read_text())
         assert j1["max_J"] != j2["max_J"]
         assert j1["max_J"] == j3["max_J"]
+        # a config that sets 'seeds' would ignore --seed: refused, not run
+        capsys.readouterr()
+        cfg_path.write_text(text.replace("seed = 1", "seeds = 1,2"))
+        out = tmp_path / "o4"
+        assert main(["--config", str(cfg_path), "--output", str(out), "--workers", "1",
+                     "--seed", "99"]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValidationError"
+        assert "--seed" in error["message"] and "'seeds'" in error["message"]
+        assert not out.exists()

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from kgorbit import (AssumptionViolated, DimensionMismatch, ModelParams,
-                     build_spectrum, project_power, to_grid, to_modes)
+from kgorbit import (AssumptionViolated, DimensionMismatch, ModelParams, State,
+                     build_spectrum, energy_breakdown, project_power, q_vector,
+                     to_grid, to_modes)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -57,6 +59,10 @@ class TestBuildSpectrum:
         # <e_n, e_n> = 1 and <e_n, e_m> = 0 by the rectangle rule
         gram = table.basis @ table.basis.T / table.n_nodes
         assert np.abs(gram - np.eye(table.mode_count)).max() < 1e-13
+
+    def test_1d_mode_order_is_tensor_order(self, table8):
+        assert np.array_equal(table8.order, np.arange(table8.mode_count))
+        assert np.array_equal(table8.basis, table8.factor)
 
 
 class TestTransforms:
@@ -165,3 +171,86 @@ class TestProjectPower:
     def test_wrong_exponent_rejected(self, table):
         with pytest.raises(DimensionMismatch):
             project_power(np.zeros(table.mode_count), 5, table)
+
+
+def _dense_analysis(g, table):
+    """Rectangle-rule projection through the dense reference basis."""
+    flat = g.reshape(-1)
+    coeffs = (flat - flat[0]) @ table.basis_t_mean
+    coeffs[0] += flat[0]
+    return coeffs
+
+
+def _assert_close(value, ref, rel=1e-13):
+    assert np.abs(np.asarray(value) - ref).max() <= rel * np.abs(ref).max()
+
+
+_AXIS_FACTOR = {"const": np.ones_like,
+                "cos": lambda t: SQRT2 * np.cos(t),
+                "sin": lambda t: SQRT2 * np.sin(t)}
+
+_TORI = [
+    ModelParams(m=0.5, p=1, dim=2, cutoff=3, periods=(2.0, 0.5)),
+    ModelParams(m=0.5, p=1, dim=3, cutoff=2, periods=(1.0, 1.0, 1.0)),
+]
+
+
+class TestFactorisedTransforms:
+    """Sum-factorised transforms against the dense mode x node reference."""
+
+    @pytest.mark.parametrize("params", _TORI, ids=["2d_rect_k3", "3d_k2"])
+    def test_matches_dense_basis(self, params, rng):
+        table = build_spectrum(params)
+        basis = table.basis
+        assert basis.shape == (table.mode_count, table.n_nodes)
+        # the reference itself, row by row from each mode's description
+        for mode, row in zip(table.modes, basis):
+            expect = np.ones(())
+            for x, L, k, kind in zip(table.nodes, params.periods, mode.wavevector, mode.kinds):
+                expect = np.multiply.outer(expect, _AXIS_FACTOR[kind](2 * np.pi * k * x / L))
+            assert np.abs(row - expect.reshape(-1)).max() < 1e-13
+        for _ in range(3):
+            a = rng.standard_normal(table.mode_count)
+            b = rng.standard_normal(table.mode_count)
+            g_ref = a @ basis
+            _assert_close(to_grid(a, table).reshape(-1), g_ref)
+            _assert_close(to_modes(g_ref.reshape(table.grid_shape), table),
+                          _dense_analysis(g_ref, table))
+            _assert_close(project_power(a, 3, table), _dense_analysis(g_ref ** 3, table))
+
+            bd = energy_breakdown(State(a, b), table, params)
+            m2, a0 = params.m ** 2, a[0]
+            mean_pow = np.mean(g_ref ** 4)
+            q_ref = _dense_analysis(g_ref ** 3 - a0 ** 3 - 3 * a0 ** 2 * (g_ref - a0), table)
+            assert bd.H == pytest.approx(
+                0.5 * np.sum((table.lam_sq - m2) * a ** 2 + b ** 2) + mean_pow / 4, rel=1e-13)
+            assert bd.r == pytest.approx((mean_pow - a0 ** 4) / 4, rel=1e-13)
+            assert bd.q0 == pytest.approx(q_ref[0], rel=1e-13)
+            assert bd.q_norm == pytest.approx(np.linalg.norm(q_ref[1:]), rel=1e-13)
+
+    def test_planar_state_stays_exactly_planar_3d(self):
+        params = _TORI[1]
+        table = build_spectrum(params)
+        a = np.zeros(table.mode_count)
+        a[0] = 0.37
+        s = State(a, np.zeros(table.mode_count))
+        assert np.all(project_power(a, 3, table)[1:] == 0.0)
+        assert np.all(q_vector(s, table, params)[1:] == 0.0)
+
+    def test_3d_k8_table_beyond_dense_reach(self, rng):
+        # the dense basis pair would take 2.8 GB here
+        table = build_spectrum(
+            ModelParams(m=0.5, p=1, dim=3, cutoff=8, periods=(1.0, 1.0, 1.0)))
+        assert table.mode_count == 17 ** 3 and table.grid_shape == (33, 33, 33)
+        held = 0
+        for f in dataclasses.fields(table):
+            value = getattr(table, f.name)
+            arrays = value if isinstance(value, tuple) else (value,)
+            held += sum(x.nbytes for x in arrays if isinstance(x, np.ndarray))
+        assert held < 2 ** 20
+
+        a = rng.standard_normal(table.mode_count)
+        g = to_grid(a, table)
+        assert np.abs(to_modes(g, table) - a).max() < 1e-13 * np.abs(a).max()
+        # Parseval for the exact quadrature: <u^3, u> = mean of u^4
+        assert a @ project_power(a, 3, table) == pytest.approx(np.mean(g ** 4), rel=1e-12)
