@@ -18,7 +18,7 @@ from .hamiltonian import (EnergyBreakdown, State, dist_x, energy_breakdown,
                           f_prime, force, hamiltonian, phi_diagnostic,
                           potential_f, q_vector, rhs, xnorm)
 from .integrators import (SectionSpec, StepperConfig, Trajectory, evolve,
-                          refine_crossing, rk4_step, split2_step)
+                          evolve_ensemble, refine_crossing, rk4_step, split2_step)
 from .stationary import (DeltaBand, Monodromy, PeriodicOrbit, PlanarState,
                          default_band, delta_band, dist_to_orbit, floquet,
                          homoclinic, invert_potential, period,
@@ -26,7 +26,8 @@ from .stationary import (DeltaBand, Monodromy, PeriodicOrbit, PlanarState,
 from .experiments import (FirstReturnResult, IBoundCheck, LoopRecord,
                           PerturbationSpec, StabilityReport, bound_check_I,
                           period_scaling_sweep, perturb_near_orbit,
-                          phi_envelope_fit, run_first_return, run_many_loops)
+                          phi_envelope_fit, run_first_return, run_first_returns,
+                          run_many_loops)
 from .cli import RunConfig, parse_config, run, serialize_config
 
 __version__ = "0.1.0"

@@ -14,11 +14,16 @@ rejected with the offending line number.  Sections and keys:
                   lambdas, rebaseline, dist_coefficient, drift_tol
     [output]      directory, formats (csv,json)
 
-Exit codes: 0 success, 2 when a run completes but raises ANOMALY flags,
-1 on errors (a JSON error record is printed).  Every stochastic
-perturbation requires an explicit seed; all outputs are reproducible
-from (config, seed).  CSV files carry a header row, '.' decimal
-separator, LF line endings and 17 significant digits.
+Exit codes: 0 success, 2 when a run completes but raises ANOMALY flags
+or a sweep member failed, 1 on errors (a JSON error record is printed).
+Every run executes in the calling thread.  A first-return sweep steps all
+its (eta, seed) members as one ensemble, stacked in config order, so the
+batch layout depends on the config alone; a member that finds no return
+or blows up gets an ``error`` record (type, message) in its JSON run and
+NaN fields in its CSV row, the fit uses the other members, and the sweep
+exits 2.  Every stochastic perturbation requires an explicit seed; all
+outputs are reproducible from (config, seed).  CSV files carry a header
+row, '.' decimal separator, LF line endings and 17 significant digits.
 """
 
 from __future__ import annotations
@@ -28,18 +33,17 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import KgError, AssumptionViolated, ParseError, ValidationError
 from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, linear_fit,
-                          perturb_near_orbit, power_law_fit, run_first_return,
+                          perturb_near_orbit, power_law_fit, run_first_returns,
                           run_many_loops)
 from .hamiltonian import energy_breakdown
 from .integrators import StepperConfig, evolve
-from .spectra import ModelParams, build_spectrum
+from .spectra import ModelParams, build_spectrum, check_mass_gap
 from .stationary import delta_band, default_band, floquet, period, sample_orbit
 
 SCHEMA_VERSION = 1
@@ -173,13 +177,9 @@ def _validate(values: dict) -> RunConfig:
     try:
         params = ModelParams(m=model["m"], p=model["p"], dim=dim,
                              cutoff=model["cutoff"], periods=periods)
+        check_mass_gap(params)
     except AssumptionViolated as exc:
         raise ValidationError(str(exc)) from exc
-    lambda_1 = 2.0 * math.pi / max(params.periods)
-    if params.m >= lambda_1:
-        raise ValidationError(
-            f"mass parameter must satisfy 0 < m < lambda_1 = {lambda_1:.6g} "
-            f"(smallest nonzero Laplacian frequency of this torus), got m = {params.m!r}")
 
     st = values["stepper"]
     stepper = StepperConfig(
@@ -328,15 +328,15 @@ def _initial_state(cfg: RunConfig, table, eta: float, seed=None,
     return perturb_near_orbit(eta, None, spec, table, cfg.model)
 
 
-def _run_simulate(cfg: RunConfig, table, out: dict, workers: int):
+def _run_simulate(cfg: RunConfig, table, out: dict):
     eta = cfg.experiment.eta
     s0 = _initial_state(cfg, table, eta, default_planar=True)
     traj = evolve(s0, cfg.stepper, table, cfg.model)
     h = traj.series("H")
     drift = linear_fit(traj.times, h - h[0])["slope"] if len(h) > 1 else 0.0
     out["csv"] = (["t", "a0", "b0", "H", "J", "I", "r"],
-                  [(t, st.a[0], st.b[0], bd.H, bd.J, bd.I, bd.r)
-                   for t, st, bd in zip(traj.times, traj.states, traj.energy_series)])
+                  list(zip(traj.times, traj.a[:, 0], traj.b[:, 0],
+                           *(traj.series(name) for name in ("H", "J", "I", "r")))))
     out["json"] = {
         "experiment": "simulate", "eta": eta, "H_drift": drift,
         "max_J": float(traj.series("J").max()), "final_time": float(traj.times[-1]),
@@ -345,10 +345,9 @@ def _run_simulate(cfg: RunConfig, table, out: dict, workers: int):
     return 0
 
 
-def _run_period_sweep(cfg: RunConfig, table, out: dict, workers: int):
+def _run_period_sweep(cfg: RunConfig, table, out: dict):
     etas = list(cfg.experiment.eta_list)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        periods = list(pool.map(lambda e: period(e, cfg.model), etas))
+    periods = [period(e, cfg.model) for e in etas]
     fit = linear_fit(np.log(1.0 / np.array(etas)), periods)
     out["csv"] = (["eta", "period"], list(zip(etas, periods)))
     out["json"] = {
@@ -359,49 +358,56 @@ def _run_period_sweep(cfg: RunConfig, table, out: dict, workers: int):
     return 0
 
 
-def _run_first_return(cfg: RunConfig, table, out: dict, workers: int):
+def _run_first_return(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
     etas = list(ex.eta_list) if ex.eta_list else [ex.eta]
     seeds = list(ex.seeds) if ex.seeds else [ex.seed]
     band = _band(cfg)
     combos = [(eta, seed) for eta in etas for seed in seeds]
-
-    def one(combo):
-        eta, seed = combo
-        s0 = _initial_state(cfg, table, eta, seed)
+    starts = [_initial_state(cfg, table, eta, seed) for eta, seed in combos]
+    results = run_first_returns(starts, [eta for eta, _ in combos], band,
+                                cfg.stepper, table, cfg.model)
+    runs = []
+    for (eta, seed), s0, res in zip(combos, starts, results):
         j0 = energy_breakdown(s0, table, cfg.model).J
-        res = run_first_return(s0, eta, band, cfg.stepper, table, cfg.model)
+        if isinstance(res, KgError):
+            runs.append({"eta": eta, "seed": seed, "J0": j0, "error":
+                         {"type": type(res).__name__, "message": str(res)}})
+            continue
         ratio = res.J_at_return / j0 if j0 > 0 else None
-        return {"eta": eta, "seed": seed, "return_time": res.return_time,
-                "distance": res.distance, "J0": j0,
-                "J_at_return": res.J_at_return, "growth": ratio}
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = list(pool.map(one, combos))
+        runs.append({"eta": eta, "seed": seed, "return_time": res.return_time,
+                     "distance": res.distance, "J0": j0,
+                     "J_at_return": res.J_at_return, "growth": ratio})
+    done = [r for r in runs if "error" not in r]
+    failed = len(runs) - len(done)
 
     anomaly = False
     fit = None
     default_amplitude = ex.amplitude is None
-    if default_amplitude and len(set(etas)) >= 3 and all(r["distance"] > 0 for r in runs):
-        fit = power_law_fit([r["eta"] for r in runs], [r["distance"] for r in runs])
+    if default_amplitude and len({r["eta"] for r in done}) >= 3 \
+            and all(r["distance"] > 0 for r in done):
+        fit = power_law_fit([r["eta"] for r in done], [r["distance"] for r in done])
         lo, hi = EXPONENT_PASS_RANGE
         fit["verdict"] = "PASS" if lo <= fit["exponent"] <= hi else "ANOMALY"
         anomaly = fit["verdict"] == "ANOMALY"
-    growth_vals = [r["growth"] for r in runs if r["growth"] is not None]
+    growth_vals = [r["growth"] for r in done if r["growth"] is not None]
+    nan = float("nan")
     out["csv"] = (["eta", "seed", "return_time", "distance", "J0", "J_at_return"],
                   [(r["eta"], r["seed"] if r["seed"] is not None else -1,
-                    r["return_time"], r["distance"], r["J0"], r["J_at_return"])
+                    r.get("return_time", nan), r.get("distance", nan), r["J0"],
+                    r.get("J_at_return", nan))
                    for r in runs])
     out["json"] = {
         "experiment": "first-return", "runs": runs,
         "distance_exponent_fit": fit,
         "empirical_growth_bound": max(growth_vals) if growth_vals else None,
-        "anomaly": anomaly,
+        "failed_runs": failed,
+        "anomaly": anomaly or failed > 0,
     }
-    return 2 if anomaly else 0
+    return 2 if anomaly or failed else 0
 
 
-def _run_stability(cfg: RunConfig, table, out: dict, workers: int):
+def _run_stability(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
     eta = ex.eta
     budget = ex.loop_budget if ex.loop_budget is not None else \
@@ -431,20 +437,17 @@ def _run_stability(cfg: RunConfig, table, out: dict, workers: int):
     return 2 if anomaly else 0
 
 
-def _run_floquet(cfg: RunConfig, table, out: dict, workers: int):
+def _run_floquet(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
-    combos = [(eta, lam) for eta in ex.eta_list for lam in ex.lambdas]
-
-    def one(combo):
-        eta, lam = combo
+    records = []
+    for eta in ex.eta_list:
         orbit = sample_orbit(eta, 64, cfg.model)
-        mono = floquet(orbit, lam, cfg.model, dt=cfg.stepper.dt)
-        return {"eta": eta, "lambda": lam, "det": mono.determinant,
+        for lam in ex.lambdas:
+            mono = floquet(orbit, lam, cfg.model, dt=cfg.stepper.dt)
+            records.append({
+                "eta": eta, "lambda": lam, "det": mono.determinant,
                 "trace": mono.trace, "classification": mono.classification,
-                "multipliers": [[m.real, m.imag] for m in mono.multipliers]}
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = list(pool.map(one, combos))
+                "multipliers": [[m.real, m.imag] for m in mono.multipliers]})
     anomaly = any(abs(r["det"] - 1.0) > 1e-8 for r in records)
     out["csv"] = (["eta", "lambda", "det", "trace", "mult1_re", "mult1_im",
                    "mult2_re", "mult2_im"],
@@ -456,7 +459,7 @@ def _run_floquet(cfg: RunConfig, table, out: dict, workers: int):
     return 2 if anomaly else 0
 
 
-def _run_energy_check(cfg: RunConfig, table, out: dict, workers: int):
+def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
     s0 = _initial_state(cfg, table, ex.eta, default_planar=True)
     traj = evolve(s0, cfg.stepper, table, cfg.model)
@@ -483,18 +486,17 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, workers: int | None = None) -> int:
+def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its outputs.
 
-    Returns 0 on success, 2 when anomaly flags were raised, 1 on errors
-    (with a JSON error record on stdout).
+    Returns 0 on success, 2 when anomaly flags were raised or a sweep run
+    failed, 1 on errors (with a JSON error record on stdout).  Everything
+    runs in the calling thread.
     """
-    if workers is None:
-        workers = int(os.environ.get("KGORBIT_WORKERS", os.cpu_count() or 1))
     try:
         table = build_spectrum(cfg.model)
         out: dict = {}
-        code = _RUNNERS[cfg.experiment.kind](cfg, table, out, workers)
+        code = _RUNNERS[cfg.experiment.kind](cfg, table, out)
         os.makedirs(cfg.output_dir, exist_ok=True)
         stem = os.path.join(cfg.output_dir, cfg.experiment.kind)
         if "csv" in cfg.formats and "csv" in out:
@@ -516,9 +518,6 @@ def main(argv=None) -> int:
                     "nonlinear Klein-Gordon equation on flat tori.")
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--output", help="output directory (overrides [output])")
-    parser.add_argument("--workers", type=int,
-                        default=None, help="worker count for sweeps "
-                        "(default: KGORBIT_WORKERS or logical cores)")
     parser.add_argument("--seed", type=int, help="seed override")
     parser.add_argument("--format", dest="formats",
                         help="comma-separated subset of csv,json")
@@ -551,7 +550,7 @@ def main(argv=None) -> int:
             record["key"] = exc.key
         print(json.dumps({"schema_version": SCHEMA_VERSION, "error": record}))
         return 1
-    return run(cfg, workers=args.workers)
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,15 @@ class NonFiniteState(KgError):
 
 
 class NoCrossing(KgError):
-    """Bracketing states do not straddle the section, or the side constraint fails."""
+    """Bracketing states do not straddle the section, or the side constraint fails.
+
+    ``reason`` names the check that failed: 'no_sign_change' (also for
+    bracketing states out of time order), 'stalled' or 'sign_constraint'.
+    """
+
+    def __init__(self, message: str, reason: str):
+        self.reason = reason
+        super().__init__(message)
 
 
 class NoReturn(KgError):

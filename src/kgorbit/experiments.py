@@ -22,17 +22,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyModeSet, DimensionMismatch, InsufficientSamples, NoReturn, ValidationError
-from .hamiltonian import (State, dist_x, energy_breakdown, i_j_equivalence_bound,
+from .errors import (EmptyModeSet, DimensionMismatch, InsufficientSamples, NonFiniteState,
+                     NoReturn, ValidationError)
+from .hamiltonian import (State, _phi, dist_x, energy_breakdown, i_j_equivalence_bound,
                           potential_f)
-from .integrators import SectionSpec, StepperConfig, Trajectory, evolve
+from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
 from .spectra import ModelParams, SpectrumTable
 from .stationary import (DeltaBand, PeriodicOrbit, PlanarState, dist_to_orbit,
                          invert_potential, period, sample_orbit)
 
 __all__ = [
     "PerturbationSpec", "FirstReturnResult", "LoopRecord", "StabilityReport",
-    "IBoundCheck", "perturb_near_orbit", "run_first_return", "run_many_loops",
+    "IBoundCheck", "perturb_near_orbit", "run_first_return", "run_first_returns",
+    "run_many_loops",
     "period_scaling_sweep", "bound_check_I", "phi_envelope_fit",
     "linear_fit", "power_law_fit", "EXPONENT_PASS_RANGE",
 ]
@@ -210,30 +212,54 @@ def _return_section(s0: State, band: DeltaBand, params: ModelParams) -> SectionS
     return SectionSpec(kind="b0_equals", level=b0, sign_constraint=constraint)
 
 
+def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
+                      table: SpectrumTable, params: ModelParams
+                      ) -> list[FirstReturnResult | NoReturn | NonFiniteState]:
+    """First returns of many start states, integrated as one ensemble.
+
+    Member k starts from ``states[k]`` near the loop of ``etas[k]`` and
+    runs until its first admissible crossing of its own start section,
+    within a budget of 10 of its loop periods.  A member that finds no
+    return (NoReturn) or blows up (NonFiniteState) gets that error in its
+    slot of the returned list; the other members go on, so one failure
+    is reported rather than fatal to a sweep.
+    """
+    sections = [_return_section(s0, band, params) for s0 in states]
+    cfgs = [replace(cfg, max_time=10.0 * period(eta, params), section=section)
+            for eta, section in zip(etas, sections)]
+    runs = evolve_ensemble(states, cfgs, table, params, max_events=1)
+    results: list[FirstReturnResult | NoReturn | NonFiniteState] = []
+    for s0, eta, section, run_cfg, traj in zip(states, etas, sections, cfgs, runs):
+        if isinstance(traj, NonFiniteState):
+            results.append(traj)
+        elif not traj.events:
+            results.append(NoReturn(
+                f"no admissible crossing within {run_cfg.max_time:.3g} time units (eta = {eta})"))
+        else:
+            t_ev, state_ev = traj.events[0]
+            results.append(FirstReturnResult(
+                return_time=t_ev - s0.t,
+                state=state_ev,
+                distance=dist_x(state_ev, s0, table),
+                J_at_return=energy_breakdown(state_ev, table, params).J,
+                section=section,
+                trajectory=traj,
+            ))
+    return results
+
+
 def run_first_return(s0: State, eta: float, band: DeltaBand, cfg: StepperConfig,
                      table: SpectrumTable, params: ModelParams) -> FirstReturnResult:
     """Integrate until the first admissible crossing of the start section.
 
-    The time budget is 10 loop periods; exceeding it raises NoReturn
-    (instability or integration failure, reported rather than fatal to a
-    sweep).
+    The time budget is 10 loop periods; exceeding it raises NoReturn, and
+    a blow-up raises NonFiniteState.  The one-member case of
+    ``run_first_returns``.
     """
-    T_ref = period(eta, params)
-    section = _return_section(s0, band, params)
-    run_cfg = replace(cfg, max_time=10.0 * T_ref, section=section)
-    traj = evolve(s0, run_cfg, table, params, max_events=1)
-    if not traj.events:
-        raise NoReturn(
-            f"no admissible crossing within {run_cfg.max_time:.3g} time units (eta = {eta})")
-    t_ev, state_ev = traj.events[0]
-    return FirstReturnResult(
-        return_time=t_ev - s0.t,
-        state=state_ev,
-        distance=dist_x(state_ev, s0, table),
-        J_at_return=energy_breakdown(state_ev, table, params).J,
-        section=section,
-        trajectory=traj,
-    )
+    result = run_first_returns([s0], [eta], band, cfg, table, params)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _rebaseline_eta(state: State, params: ModelParams) -> float:
@@ -358,10 +384,10 @@ def bound_check_I(trajectory: Trajectory, params: ModelParams,
     identically zero) are reported as vacuous.  Sample times where the
     ratio exceeds ratio_cap are flagged.
     """
-    series = trajectory.energy_series
-    if len(series) < 3:
+    n = len(trajectory.times)
+    if n < 3:
         raise InsufficientSamples(
-            f"need at least 3 samples for centered differences, got {len(series)}")
+            f"need at least 3 samples for centered differences, got {n}")
     t = trajectory.times
     I_vals = trajectory.series("I")
     if np.all(I_vals == 0.0):
@@ -370,10 +396,9 @@ def bound_check_I(trajectory: Trajectory, params: ModelParams,
     c_max = 0.0
     n_pts = 0
     flagged = []
-    for i in range(1, len(series) - 1):
+    for i in range(1, n - 1):
         dI = (I_vals[i + 1] - I_vals[i - 1]) / (t[i + 1] - t[i - 1])
-        st = trajectory.states[i]
-        a0, b0 = float(st.a[0]), float(st.b[0])
+        a0, b0 = float(trajectory.a[i, 0]), float(trajectory.b[i, 0])
         rhs_val = abs(a0) ** (2 * p - 1) * abs(b0) * I_vals[i] + I_vals[i] ** 1.5
         if rhs_val <= 0.0:
             if abs(dI) > 0.0:
@@ -391,13 +416,11 @@ def bound_check_I(trajectory: Trajectory, params: ModelParams,
 def phi_envelope_fit(trajectory: Trajectory, eta: float) -> dict:
     """Fit the envelope |phi(t)| <= C min(1, t^2) along a run started on
     the loop at (eta, 0); returns the fitted C and the phi series."""
-    series = trajectory.energy_series
-    if len(series) < 2:
+    if len(trajectory.times) < 2:
         raise InsufficientSamples("need at least 2 samples")
-    base = series[0]
+    J, r = trajectory.series("J"), trajectory.series("r")
     t0 = float(trajectory.times[0])
-    phis = np.array([(-2.0 * (bd.J - base.J) - 2.0 * (bd.r - base.r)) / eta ** 5
-                     for bd in series])
+    phis = _phi(J, r, J[0], r[0], eta)
     rel_t = trajectory.times - t0
     env = np.minimum(1.0, rel_t ** 2)
     mask = env > 0.0

@@ -57,7 +57,8 @@ class EnergyBreakdown:
     J >= 0 is the quadratic energy of modes k >= 1; I adds the
     instantaneous potential term (2p+1) a0^(2p) a_k^2 / 2; r and r_hat are
     the matching nonlinear remainders, so H = b0^2/2 + f(a0)/2 + J + r
-    = b0^2/2 + f(a0)/2 + I + r_hat identically.
+    = b0^2/2 + f(a0)/2 + I + r_hat identically.  Fields are floats for one
+    state and arrays over the samples for a stacked state.
     """
 
     H: float
@@ -70,8 +71,11 @@ class EnergyBreakdown:
     f_a0: float
 
 
-def validate_state(s: State, table: SpectrumTable) -> None:
-    if s.a.shape != (table.mode_count,) or s.b.shape != (table.mode_count,):
+def validate_state(s: State, table: SpectrumTable, stacked: bool = False) -> None:
+    """Check shapes and finiteness; ``stacked`` admits (S, modes) sample stacks."""
+    shape = s.a.shape
+    if shape[-1:] != (table.mode_count,) or s.b.shape != shape \
+            or len(shape) != 1 + stacked:
         raise DimensionMismatch(
             f"state has shapes {s.a.shape}/{s.b.shape}, table has {table.mode_count} modes")
     if not (np.isfinite(s.a).all() and np.isfinite(s.b).all()):
@@ -96,16 +100,17 @@ def force(x: float, params: ModelParams):
 def _energy(s: State, g: np.ndarray, table: SpectrumTable,
             params: ModelParams) -> tuple[float, float]:
     """Total energy H and the grid mean of u^(2p+2), given the grid values
-    g of u; the quadrature of the nonlinear term is exact."""
-    mean_pow = float(np.mean(_grid_power(g, 2 * params.p + 2)))
-    quad = 0.5 * float(np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2))
+    g of u; the quadrature of the nonlinear term is exact.  Reduces over
+    the last axis, so stacked states give one value per sample."""
+    mean_pow = np.mean(_grid_power(g, 2 * params.p + 2), axis=-1)
+    quad = 0.5 * np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2, axis=-1)
     return quad + mean_pow / (2 * params.p + 2), mean_pow
 
 
 def hamiltonian(s: State, table: SpectrumTable, params: ModelParams) -> float:
     """Total energy by exact quadrature of the nonlinear term."""
     validate_state(s, table)
-    return _energy(s, _synthesis(s.a, table), table, params)[0]
+    return float(_energy(s, _synthesis(s.a, table), table, params)[0])
 
 
 def rhs(s: State, table: SpectrumTable, params: ModelParams) -> State:
@@ -128,9 +133,10 @@ def q_vector(s: State, table: SpectrumTable, params: ModelParams) -> np.ndarray:
     return _q_from_grid(_synthesis(s.a, table), float(s.a[0]), table, params)
 
 
-def _q_from_grid(g: np.ndarray, a0: float, table: SpectrumTable,
+def _q_from_grid(g: np.ndarray, a0, table: SpectrumTable,
                  params: ModelParams) -> np.ndarray:
     p = params.p
+    a0 = np.asarray(a0)[..., None]
     u_high = g - a0            # grid values of U; exactly zero for planar states
     integrand = _grid_power(g, 2 * p + 1) - a0 ** (2 * p + 1) \
         - (2 * p + 1) * a0 ** (2 * p) * u_high
@@ -138,22 +144,27 @@ def _q_from_grid(g: np.ndarray, a0: float, table: SpectrumTable,
 
 
 def energy_breakdown(s: State, table: SpectrumTable, params: ModelParams) -> EnergyBreakdown:
-    """All energy diagnostics of a state, each from its own definition."""
-    validate_state(s, table)
+    """All energy diagnostics of a state, each from its own definition.
+
+    ``s`` may also hold a stack of samples, a and b shaped (S, modes);
+    every field is then an array of S values.
+    """
+    stacked = s.a.ndim == 2
+    validate_state(s, table, stacked)
     m2, p = params.m ** 2, params.p
-    a0, b0 = float(s.a[0]), float(s.b[0])
+    a0 = s.a[..., 0]
 
     g = _synthesis(s.a, table)
     H, mean_pow = _energy(s, g, table, params)
-    J = 0.5 * float(np.sum((table.lam_sq[1:] - m2) * s.a[1:] ** 2 + s.b[1:] ** 2))
+    J = 0.5 * np.sum((table.lam_sq[1:] - m2) * s.a[..., 1:] ** 2 + s.b[..., 1:] ** 2, axis=-1)
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
-    shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * float(np.sum(s.a[1:] ** 2))
+    shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * np.sum(s.a[..., 1:] ** 2, axis=-1)
     q = _q_from_grid(g, a0, table, params)
-    return EnergyBreakdown(
-        H=H, J=J, I=J + shift, r=r, r_hat=r - shift,
-        q_norm=float(np.linalg.norm(q[1:])), q0=float(q[0]),
-        f_a0=float(potential_f(a0, params)),
-    )
+    values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift,
+                  q_norm=np.linalg.norm(q[..., 1:], axis=-1), q0=q[..., 0],
+                  f_a0=potential_f(a0, params))
+    convert = np.asarray if stacked else float
+    return EnergyBreakdown(**{k: convert(v) for k, v in values.items()})
 
 
 def xnorm(s: State, table: SpectrumTable) -> float:
@@ -180,7 +191,12 @@ def phi_diagnostic(s: State, s0_breakdown: EnergyBreakdown, eta: float,
     if not eta > 0:
         raise ValueError("eta must be positive")
     bd = energy_breakdown(s, table, params)
-    return (-2.0 * (bd.J - s0_breakdown.J) - 2.0 * (bd.r - s0_breakdown.r)) / eta ** 5
+    return _phi(bd.J, bd.r, s0_breakdown.J, s0_breakdown.r, eta)
+
+
+def _phi(J, r, J0: float, r0: float, eta: float):
+    """phi = (-2 (J - J0) - 2 (r - r0)) / eta^5, elementwise over arrays."""
+    return (-2.0 * (J - J0) - 2.0 * (r - r0)) / eta ** 5
 
 
 def i_j_equivalence_bound(max_abs_a0: float, table: SpectrumTable,

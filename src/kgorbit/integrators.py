@@ -1,4 +1,5 @@
-"""Fixed-step time evolution with section (return-map) event detection.
+"""Fixed-step time evolution of one state or a stack of states, with
+section (return-map) event detection.
 
 Two schemes:
 
@@ -15,14 +16,23 @@ Two schemes:
   as the cross-validation oracle and wherever one-loop accuracy matters
   more than long-time energy behaviour.
 
+One stage function serves both schemes on one state or on a stack of
+states (members x modes), with one kernel call per force evaluation for
+the whole stack.  ``evolve_ensemble`` steps a stack of independent
+members, each with its own section, horizon and event budget; a member
+that blows up is recorded in its own slot while the others go on.
+``evolve`` is the single-member case.
+
 Section crossings are detected by a per-step sign change of the residual
 and refined by bisected re-integration from the bracketing state, which
-keeps the refined point on the numerical flow.
+keeps the refined point on the numerical flow.  Crossings that
+refinement rejects are counted per member, by reason.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +42,13 @@ from .spectra import ModelParams, SpectrumTable, _project_power_raw
 
 __all__ = [
     "StepperConfig", "SectionSpec", "Trajectory",
-    "split2_step", "rk4_step", "evolve", "refine_crossing",
+    "split2_step", "rk4_step", "evolve", "evolve_ensemble", "refine_crossing",
 ]
 
 _SIGN_CONSTRAINTS = ("b0_positive", "b0_negative", "a0_left_of_center", "a0_right_of_center")
 
+# Grid values per chunk of the stacked sample diagnostics (128 KiB arrays).
+_CHUNK_VALUES = 1 << 14
 
 @dataclass(frozen=True)
 class SectionSpec:
@@ -91,21 +103,57 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Sampled run: times, states and energy diagnostics at every sample,
-    plus refined section crossings as (time, State) pairs."""
+    """Sampled run of one member.
+
+    ``times`` (S,) and the coefficient stacks ``a``, ``b`` (S, modes) hold
+    the samples, read-only; ``events`` the refined section crossings as
+    (time, State) pairs; ``rejected`` the crossings refinement turned down,
+    by NoCrossing reason.  The energy diagnostics of all samples are
+    computed on first use, in stacked passes.
+    """
 
     times: np.ndarray
-    states: list[State]
+    a: np.ndarray
+    b: np.ndarray
     events: list[tuple[float, State]]
-    energy_series: list[EnergyBreakdown]
+    rejected: dict[str, int]
+    table: SpectrumTable = field(repr=False)
+    params: ModelParams = field(repr=False)
+
+    @property
+    def states(self) -> list[State]:
+        """One State per sample, viewing the read-only stacks."""
+        return [State(a, b, float(t)) for a, b, t in zip(self.a, self.b, self.times)]
+
+    @functools.cached_property
+    def energy(self) -> EnergyBreakdown:
+        """Energy diagnostics of every sample; each field is an (S,) array."""
+        rows = max(1, _CHUNK_VALUES // self.table.n_nodes)
+        parts = [energy_breakdown(State(self.a[i:i + rows], self.b[i:i + rows]),
+                                  self.table, self.params)
+                 for i in range(0, len(self.times), rows)]
+        columns = {}
+        for f in fields(EnergyBreakdown):
+            column = np.concatenate([getattr(part, f.name) for part in parts])
+            column.flags.writeable = False
+            columns[f.name] = column
+        return EnergyBreakdown(**columns)
+
+    @property
+    def energy_series(self) -> list[EnergyBreakdown]:
+        """One EnergyBreakdown of floats per sample."""
+        columns = [getattr(self.energy, f.name).tolist() for f in fields(EnergyBreakdown)]
+        return [EnergyBreakdown(*row) for row in zip(*columns)]
 
     def series(self, name: str) -> np.ndarray:
-        """Extract one EnergyBreakdown field as an array over samples."""
-        return np.array([getattr(bd, name) for bd in self.energy_series])
+        """One EnergyBreakdown field as an array over samples."""
+        return getattr(self.energy, name)
 
 
 class _LinearFlow:
-    """Exact per-mode flow of the quadratic part over a fixed step."""
+    """Exact per-mode flow of the quadratic part over a fixed step, applied
+    to stacks (members, modes); the coefficients are (1, modes) rows, so a
+    one-member stack takes numpy's same-shape fast path."""
 
     def __init__(self, table: SpectrumTable, params: ModelParams, dt: float):
         w2 = table.lam_sq - params.m ** 2
@@ -126,63 +174,68 @@ class _LinearFlow:
         c[deg] = 1.0
         s[deg] = dt
         g[deg] = 0.0
-        self.c, self.s, self.g = c, s, g
+        self.c, self.s, self.g = c[None], s[None], g[None]
 
     def apply(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.c * a + self.s * b, self.g * a + self.c * b
 
 
-def _kick(a: np.ndarray, b: np.ndarray, tau: float, table: SpectrumTable,
-          exponent: int) -> None:
-    b -= tau * _project_power_raw(a, exponent, table)
-
-
-def split2_step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
-                nonlinear: bool = True) -> State:
-    """One Strang step.  ``nonlinear=False`` drops the kick (linear-flow testing)."""
-    validate_state(s, table)
-    flow = _LinearFlow(table, params, dt)
-    a, b = s.a.copy(), s.b.copy()
+def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
+           nonlinear: bool = True):
+    """One step of ``scheme`` as a function (a, b) -> (a, b) on a stack
+    (members, modes), with one kernel call per force evaluation for the
+    whole stack.  Returns new arrays and leaves its inputs untouched.
+    ``nonlinear=False`` drops the power term.
+    """
     exponent = 2 * params.p + 1
-    if nonlinear:
-        _kick(a, b, 0.5 * dt, table, exponent)
-    a, b = flow.apply(a, b)
-    if nonlinear:
-        _kick(a, b, 0.5 * dt, table, exponent)
-    return State(a, b, s.t + dt)
+    if scheme == "split2":
+        flow = _LinearFlow(table, params, dt)
+        half = 0.5 * dt
 
+        def split2(a, b):
+            if nonlinear:
+                b = b - half * _project_power_raw(a, exponent, table)
+            a, b = flow.apply(a, b)
+            if nonlinear:
+                b -= half * _project_power_raw(a, exponent, table)
+            return a, b
+        return split2
 
-def _rk4_arrays(a: np.ndarray, b: np.ndarray, dt: float, w2: np.ndarray,
-                table: SpectrumTable, exponent: int, nonlinear: bool
-                ) -> tuple[np.ndarray, np.ndarray]:
+    w2 = (table.lam_sq - params.m ** 2)[None]
+
     def db(av):
         out = -w2 * av
         if nonlinear:
             out -= _project_power_raw(av, exponent, table)
         return out
 
-    k1a, k1b = b, db(a)
-    k2a, k2b = b + 0.5 * dt * k1b, db(a + 0.5 * dt * k1a)
-    k3a, k3b = b + 0.5 * dt * k2b, db(a + 0.5 * dt * k2a)
-    k4a, k4b = b + dt * k3b, db(a + dt * k3a)
-    return (a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
-            b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b))
+    def rk4(a, b):
+        k1a, k1b = b, db(a)
+        k2a, k2b = b + 0.5 * dt * k1b, db(a + 0.5 * dt * k1a)
+        k3a, k3b = b + 0.5 * dt * k2b, db(a + 0.5 * dt * k2a)
+        k4a, k4b = b + dt * k3b, db(a + dt * k3a)
+        return (a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
+                b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b))
+    return rk4
+
+
+def _step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
+          scheme: str, nonlinear: bool) -> State:
+    validate_state(s, table)
+    a, b = _stage(scheme, dt, table, params, nonlinear)(s.a[None], s.b[None])
+    return State(a[0], b[0], s.t + dt)
+
+
+def split2_step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
+                nonlinear: bool = True) -> State:
+    """One Strang step.  ``nonlinear=False`` drops the kick (linear-flow testing)."""
+    return _step(s, dt, table, params, "split2", nonlinear)
 
 
 def rk4_step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
              nonlinear: bool = True) -> State:
     """One classical Runge-Kutta step on the full vector field."""
-    validate_state(s, table)
-    w2 = table.lam_sq - params.m ** 2
-    a, b = _rk4_arrays(s.a, s.b, dt, w2, table, 2 * params.p + 1, nonlinear)
-    return State(a, b, s.t + dt)
-
-
-def _single_step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
-                 scheme: str) -> State:
-    if scheme == "split2":
-        return split2_step(s, dt, table, params)
-    return rk4_step(s, dt, table, params)
+    return _step(s, dt, table, params, "rk4", nonlinear)
 
 
 def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
@@ -198,7 +251,7 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
     """
     dt_full = s_after.t - s_before.t
     if not dt_full > 0:
-        raise NoCrossing("bracketing states are not time-ordered")
+        raise NoCrossing("bracketing states are not time-ordered", "no_sign_change")
     r_lo = section.residual(float(s_before.a[0]), float(s_before.b[0]))
     r_hi = section.residual(float(s_after.a[0]), float(s_after.b[0]))
     if r_lo == 0.0:
@@ -207,14 +260,16 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
         candidate, tau = s_after.copy(), dt_full
     elif r_lo * r_hi > 0:
         raise NoCrossing(
-            f"section residual does not change sign over [{s_before.t}, {s_after.t}]")
+            f"section residual does not change sign over [{s_before.t}, {s_after.t}]",
+            "no_sign_change")
     else:
+        step = split2_step if scheme == "split2" else rk4_step
         lo, hi = 0.0, dt_full
         candidate, tau = s_after, dt_full
         best, best_res = s_after, abs(r_hi)
         for _ in range(max_iter):
             tau = 0.5 * (lo + hi)
-            candidate = _single_step(s_before, tau, table, params, scheme)
+            candidate = step(s_before, tau, table, params)
             r_mid = section.residual(float(candidate.a[0]), float(candidate.b[0]))
             if abs(r_mid) < best_res:
                 best, best_res = candidate, abs(r_mid)
@@ -226,92 +281,160 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
                 lo = tau
         else:
             if best_res > tol:
-                raise NoCrossing(f"refinement stalled at |residual| = {best_res:.3e}")
+                raise NoCrossing(f"refinement stalled at |residual| = {best_res:.3e}",
+                                 "stalled")
             candidate = best
             tau = candidate.t - s_before.t
     if not section.admits(float(candidate.a[0]), float(candidate.b[0]), params.center):
-        raise NoCrossing(f"crossing rejected by sign constraint {section.sign_constraint}")
+        raise NoCrossing(f"crossing rejected by sign constraint {section.sign_constraint}",
+                         "sign_constraint")
     return s_before.t + tau, candidate
+
+
+class _Member:
+    """Bookkeeping of one ensemble member: its samples, events and
+    rejected crossings, or the error that stopped it."""
+
+    def __init__(self, s0: State, cfg: StepperConfig, limit: int | None):
+        self.t0 = s0.t
+        self.section = cfg.section
+        self.horizon = max(1, int(round(cfg.max_time / cfg.dt)))
+        self.limit = limit
+        self.times: list[float] = []
+        self.rows_a: list[np.ndarray] = []
+        self.rows_b: list[np.ndarray] = []
+        self.events: list[tuple[float, State]] = []
+        self.rejected = {"sign_constraint": 0, "stalled": 0, "no_sign_change": 0}
+        self.error: NonFiniteState | None = None
+
+    def sample(self, t: float, a: np.ndarray, b: np.ndarray, checked: bool) -> None:
+        """Record a sample, or stop the member if it is not finite."""
+        if not (checked or (np.isfinite(a).all() and np.isfinite(b).all())):
+            self.error = NonFiniteState(f"non-finite coefficients at t = {t}")
+            return
+        self.times.append(t)
+        self.rows_a.append(a)
+        self.rows_b.append(b)
+
+    def result(self, table: SpectrumTable, params: ModelParams) -> Trajectory | NonFiniteState:
+        if self.error is not None:
+            return self.error
+        arrays = [np.array(self.times), np.array(self.rows_a), np.array(self.rows_b)]
+        for arr in arrays:
+            arr.flags.writeable = False
+        return Trajectory(*arrays, events=self.events, rejected=self.rejected,
+                          table=table, params=params)
+
+
+def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
+                    max_events=None) -> list[Trajectory | NonFiniteState]:
+    """Integrate a stack of members together, one kernel call per force
+    evaluation for the whole stack.
+
+    Member k starts from ``states[k]`` and runs under ``cfgs[k]``, which
+    sets its horizon (max_time) and section; all members share dt, scheme
+    and sample_stride.  ``max_events`` is one limit for every member or a
+    sequence with one per member.  Each member is sampled, refined and
+    stopped exactly as ``evolve`` does it.  A member whose coefficients
+    turn non-finite gets its NonFiniteState in its slot of the returned
+    list, while the others go on.  Rows keep the members' order and a
+    finished member leaves the stack, so the batch layout is a function of
+    the inputs alone.
+    """
+    if len(states) != len(cfgs):
+        raise ValueError(f"{len(states)} states but {len(cfgs)} configs")
+    if len({(c.dt, c.scheme, c.sample_stride) for c in cfgs}) > 1:
+        raise ValueError("ensemble members must share dt, scheme and sample_stride")
+    if not states:
+        return []
+    for s in states:
+        validate_state(s, table)
+    if max_events is None or np.ndim(max_events) == 0:
+        max_events = [max_events] * len(states)
+    members = [_Member(s, c, limit) for s, c, limit in zip(states, cfgs, max_events)]
+    dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
+    stage = _stage(scheme, dt, table, params)
+    ends: dict[int, list[int]] = {}
+    for k, m in enumerate(members):
+        ends.setdefault(m.horizon, []).append(k)
+
+    a = np.array([s.a for s in states], dtype=float)
+    b = np.array([s.b for s in states], dtype=float)
+    for k, m in enumerate(members):
+        m.sample(m.t0, a[k], b[k], checked=True)
+    active = list(range(len(members)))       # member of each stack row
+    tracked = any(m.section is not None for m in members)
+    on_a0 = np.array([m.section is not None and m.section.kind == "a0_equals"
+                      for m in members])
+    levels = np.array([m.section.level if m.section is not None else 0.0
+                       for m in members])
+    res = np.where(on_a0, a[:, 0], b[:, 0]) - levels
+
+    i = 0
+    while active:
+        i += 1
+        prev_a, prev_b = a, b
+        a, b = stage(a, b)
+        leaving: set[int] = set()
+
+        if tracked:
+            res_new = np.where(on_a0, a[:, 0], b[:, 0]) - levels
+            hits = res * res_new <= 0.0
+            if hits.any():
+                for r in np.flatnonzero(hits):
+                    m = members[active[r]]
+                    r_prev, r_now = res[r], res_new[r]
+                    if m.section is None or not (
+                            r_prev * r_now < 0 or (r_now == 0.0 and r_prev != 0.0)):
+                        continue
+                    t = m.t0 + i * dt
+                    try:
+                        m.events.append(refine_crossing(
+                            State(prev_a[r].copy(), prev_b[r].copy(), t - dt),
+                            State(a[r].copy(), b[r].copy(), t),
+                            m.section, table, params, scheme=scheme))
+                    except NoCrossing as exc:
+                        m.rejected[exc.reason] += 1
+                    if m.limit is not None and len(m.events) >= m.limit:
+                        m.sample(t, a[r], b[r], checked=False)
+                        leaving.add(r)
+            res = res_new
+
+        ending = ends.get(i, ())
+        if i % stride == 0 or ending:
+            rows = range(len(active)) if i % stride == 0 else \
+                [r for r, k in enumerate(active) if k in ending]
+            finite = np.isfinite(a).all() and np.isfinite(b).all()
+            for r in rows:
+                if r in leaving:
+                    continue
+                m = members[active[r]]
+                m.sample(m.t0 + i * dt, a[r], b[r], checked=finite)
+                if m.error is not None or i == m.horizon:
+                    leaving.add(r)
+
+        if leaving:
+            keep = [r for r in range(len(active)) if r not in leaving]
+            active = [active[r] for r in keep]
+            a, b, res = a[keep], b[keep], res[keep]
+            on_a0, levels = on_a0[keep], levels[keep]
+
+    return [m.result(table, params) for m in members]
 
 
 def evolve(s0: State, cfg: StepperConfig, table: SpectrumTable,
            params: ModelParams, max_events: int | None = None) -> Trajectory:
     """Integrate to cfg.max_time with fixed steps.
 
-    States and energy breakdowns are recorded every ``sample_stride``
-    steps (plus the final step); every transversal crossing of
-    cfg.section that satisfies the sign constraint is refined to
-    |residual| <= 1e-10 and recorded.  Stops early once ``max_events``
+    States are recorded every ``sample_stride`` steps (plus the final
+    step); every transversal crossing of cfg.section that satisfies the
+    sign constraint is refined to |residual| <= 1e-10 and recorded, and
+    rejected ones are counted by reason.  Stops early once ``max_events``
     crossings have been collected.  Raises NonFiniteState if the
     coefficients blow up (checked at sample resolution; NaN persists).
+    The single-member case of ``evolve_ensemble``.
     """
-    validate_state(s0, table)
-    n_steps = max(1, int(round(cfg.max_time / cfg.dt)))
-    dt = cfg.dt
-    exponent = 2 * params.p + 1
-    w2 = table.lam_sq - params.m ** 2
-    section = cfg.section
-
-    a, b = s0.a.astype(float).copy(), s0.b.astype(float).copy()
-    t0 = s0.t
-
-    if cfg.scheme == "split2":
-        flow = _LinearFlow(table, params, dt)
-        half = 0.5 * dt
-
-        def advance(a, b):
-            _kick(a, b, half, table, exponent)
-            a, b = flow.apply(a, b)
-            _kick(a, b, half, table, exponent)
-            return a, b
-    else:
-        def advance(a, b):
-            return _rk4_arrays(a, b, dt, w2, table, exponent, True)
-
-    times = [t0]
-    states = [State(a.copy(), b.copy(), t0)]
-    energies = [energy_breakdown(states[0], table, params)]
-    events: list[tuple[float, State]] = []
-
-    prev_a = a.copy()
-    prev_b = b.copy()
-    res_prev = section.residual(float(a[0]), float(b[0])) if section else 0.0
-
-    for i in range(1, n_steps + 1):
-        if section is not None:
-            np.copyto(prev_a, a)
-            np.copyto(prev_b, b)
-        a, b = advance(a, b)
-        t = t0 + i * dt
-
-        if section is not None:
-            res = section.residual(float(a[0]), float(b[0]))
-            crossed = (res_prev * res < 0) or (res == 0.0 and res_prev != 0.0)
-            if crossed:
-                try:
-                    ev = refine_crossing(State(prev_a.copy(), prev_b.copy(), t - dt),
-                                         State(a.copy(), b.copy(), t),
-                                         section, table, params, scheme=cfg.scheme)
-                    events.append(ev)
-                except NoCrossing:
-                    pass
-            res_prev = res
-            if max_events is not None and len(events) >= max_events:
-                st = State(a.copy(), b.copy(), t)
-                if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                    raise NonFiniteState(f"non-finite coefficients at t = {t}")
-                times.append(t)
-                states.append(st)
-                energies.append(energy_breakdown(st, table, params))
-                break
-
-        if i % cfg.sample_stride == 0 or i == n_steps:
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
-                raise NonFiniteState(f"non-finite coefficients at t = {t}")
-            st = State(a.copy(), b.copy(), t)
-            times.append(t)
-            states.append(st)
-            energies.append(energy_breakdown(st, table, params))
-
-    return Trajectory(times=np.array(times), states=states,
-                      events=events, energy_series=energies)
+    out = evolve_ensemble([s0], [cfg], table, params, max_events)[0]
+    if isinstance(out, NonFiniteState):
+        raise out
+    return out

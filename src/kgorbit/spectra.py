@@ -10,13 +10,15 @@ power nonlinearity computed here is exact up to rounding.
 
 Because the basis is a tensor product, the table stores only the per-axis
 factor matrix F, shaped (2K+1) x n_axis with rows const, cos1, sin1, ...,
-its scaled transpose F.T / n_axis, and the map from the eigenvalue-sorted
-mode index to the flat tensor index.  Synthesis and analysis contract one
-axis at a time (sum factorisation), so a transform costs O(d K n^d) and
-the table O(d K n + n^d) memory instead of the O(K^d n^d) of a dense mode
-x node matrix.  In 1D the mode order is the tensor order and each
-transform is a single matrix product.  The dense matrix is still available
-as the reference view ``SpectrumTable.basis``, built on demand.
+its scaled transpose F.T / n_axis, and the permutation from the
+eigenvalue-sorted mode index to the flat tensor index, with its inverse.
+Synthesis and analysis contract one axis at a time (sum factorisation),
+and take one coefficient vector or a stack of them (members x modes), one
+member per row.  A transform costs O(d K n^d) and the table O(d K n + n^d)
+memory instead of the O(K^d n^d) of a dense mode x node matrix.  In 1D
+the mode order is the tensor order and each transform is a single matrix
+product.  The dense matrix is still available as the reference view
+``SpectrumTable.basis``, built on demand.
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ class ModelParams:
                 f"torus volume must equal 1 (rescaled model), got {vol!r}")
         if not self.m > 0:
             raise AssumptionViolated(f"mass parameter must be positive, got {self.m!r}")
-        # The upper bound m < lambda_1 is checked in build_spectrum, where
-        # the smallest nonzero eigenvalue is known.
+        # The upper bound m < lambda_1 is enforced by check_mass_gap.
 
     @property
     def center(self) -> float:
@@ -103,6 +104,7 @@ class SpectrumTable:
     factor: np.ndarray = field(repr=False)         # (2K+1, n_axis), rows const, cos1, sin1, ...
     factor_t_mean: np.ndarray = field(repr=False)  # factor.T / n_axis
     order: np.ndarray = field(repr=False)          # flat tensor index of each mode
+    inverse: np.ndarray = field(repr=False)        # mode at each flat tensor index
 
     @property
     def mode_count(self) -> int:
@@ -134,6 +136,17 @@ class SpectrumTable:
         return np.ascontiguousarray(self.basis.T) / self.n_nodes
 
 
+def check_mass_gap(params: ModelParams) -> None:
+    """Raise AssumptionViolated unless m < lambda_1 = 2 pi / max(L), the
+    smallest nonzero Laplacian frequency of the torus (one period along
+    its longest axis)."""
+    lam1 = 2.0 * math.pi / max(params.periods)
+    if params.m >= lam1:
+        raise AssumptionViolated(
+            f"mass parameter must satisfy 0 < m < lambda_1 = {lam1:.6g} "
+            f"(smallest nonzero Laplacian frequency of this torus), got m = {params.m!r}")
+
+
 def build_spectrum(params: ModelParams) -> SpectrumTable:
     """Enumerate all modes with per-axis index <= cutoff and tabulate the
     per-axis factors on the dealiased grid.
@@ -142,6 +155,7 @@ def build_spectrum(params: ModelParams) -> SpectrumTable:
     wavevector then (const, cos, sin), so indexing is deterministic.
     Raises AssumptionViolated if m >= lambda_1.
     """
+    check_mass_gap(params)
     K, dim, periods = params.cutoff, params.dim, params.periods
     n_axis = (2 * params.p + 2) * K + 1
     grid_shape = (n_axis,) * dim
@@ -159,10 +173,6 @@ def build_spectrum(params: ModelParams) -> SpectrumTable:
 
     lam_sq = np.array([r[0] for r in records])
     lam = np.sqrt(lam_sq)
-    lam1 = float(lam[lam > 0].min())
-    if params.m >= lam1:
-        raise AssumptionViolated(
-            f"mass parameter must satisfy 0 < m < lambda_1 = {lam1:.6g}, got m = {params.m!r}")
 
     # Per-axis factor values on the equidistant nodes x_j = j L / n; the
     # rescaled argument 2 pi k x / L = 2 pi k j / n does not depend on L.
@@ -173,6 +183,7 @@ def build_spectrum(params: ModelParams) -> SpectrumTable:
     factor[1::2] = math.sqrt(2.0) * np.cos(theta)
     factor[2::2] = math.sqrt(2.0) * np.sin(theta)
 
+    order = np.array([r[4] for r in records], dtype=np.intp)
     modes = tuple(Mode(index=idx, wavevector=wavevector, kinds=kinds, lam=float(math.sqrt(ls)))
                   for idx, (ls, wavevector, _, kinds, _) in enumerate(records))
     nodes = tuple(np.arange(n_axis) * (L / n_axis) for L in periods)
@@ -185,44 +196,58 @@ def build_spectrum(params: ModelParams) -> SpectrumTable:
         nodes=nodes,
         factor=factor,
         factor_t_mean=np.ascontiguousarray(factor.T) / n_axis,
-        order=np.array([r[4] for r in records], dtype=np.intp),
+        order=order,
+        inverse=np.argsort(order),
     )
 
 
 def _synthesis(a: np.ndarray, table: SpectrumTable) -> np.ndarray:
-    """Flat (C-order) grid values of sum_n a_n e_n.
+    """Flat (C-order) grid values of sum_n a_n e_n, for one coefficient
+    vector (n,) or a stack (E, n), which gives (E, n_nodes).
 
-    Beyond 1D the coefficients are scattered into tensor order and each
-    step contracts the leading axis with the factor matrix, appending the
-    node axis last; after dim steps the axes are back in order.
+    Beyond 1D the coefficients are permuted into tensor order with the
+    member axis last, and each step contracts the leading axis with the
+    factor matrix, appending the node axis last; after dim steps the
+    member axis leads and the node axes are back in order.
     """
     factor = table.factor
     if len(table.grid_shape) == 1:
         return a @ factor
-    g = np.zeros(factor.shape[0] ** len(table.grid_shape))
-    g[table.order] = a
+    if a.ndim == 1:
+        return _synthesis(a[None], table)[0]
+    g = np.take(a.T, table.inverse, axis=0)
     for _ in table.grid_shape:
         g = g.reshape(factor.shape[0], -1).T @ factor
-    return g.reshape(-1)
+    return g.reshape(len(a), -1)
 
 
 def _analysis(g: np.ndarray, table: SpectrumTable) -> np.ndarray:
-    """Mode coefficients of flat grid values by the rectangle rule.
+    """Mode coefficients of flat grid values by the rectangle rule, for one
+    grid (n_nodes,) or a stack (E, n_nodes).
 
     A constant offset is split off first: the offset lands entirely in the
     constant mode, and exactly-constant fields get exactly-zero
     coefficients on every nonconstant mode.
     """
-    offset = g[0]
+    if g.ndim == 1:
+        return _analysis(g[None], table)[0]
+    # One row takes a scalar offset: numpy's scalar path saves a few
+    # microseconds per call over a broadcast column, with the same values.
+    single = len(g) == 1
+    offset = g[0, 0] if single else g[:, :1]
     weights = table.factor_t_mean
     if len(table.grid_shape) == 1:
         coeffs = (g - offset) @ weights
     else:
-        coeffs = g - offset
+        # member axis last, then contract one node axis at a time
+        coeffs = (g - offset).T
         for _ in table.grid_shape:
             coeffs = coeffs.reshape(weights.shape[0], -1).T @ weights
-        coeffs = coeffs.reshape(-1)[table.order]
-    coeffs[0] += offset
+        coeffs = np.take(coeffs.reshape(len(g), -1), table.order, axis=1)
+    if single:
+        coeffs[0, 0] += offset
+    else:
+        coeffs[:, :1] += offset
     return coeffs
 
 
@@ -272,5 +297,6 @@ def _grid_power(g: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _project_power_raw(a: np.ndarray, exponent: int, table: SpectrumTable) -> np.ndarray:
-    """Unchecked synthesis-power-analysis kernel (hot path of the integrators)."""
+    """Unchecked synthesis-power-analysis kernel (hot path of the integrators);
+    takes one coefficient vector or a stack of them."""
     return _analysis(_grid_power(_synthesis(a, table), exponent), table)

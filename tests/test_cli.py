@@ -106,7 +106,7 @@ class TestRun:
     def test_simulate_outputs(self, tmp_path):
         cfg = parse_config(MINIMAL)
         cfg.output_dir = str(tmp_path)
-        assert run(cfg, workers=1) == 0
+        assert run(cfg) == 0
         csv_path = tmp_path / "simulate.csv"
         json_path = tmp_path / "simulate.json"
         assert csv_path.exists() and json_path.exists()
@@ -122,7 +122,7 @@ class TestRun:
                                "kind = period-sweep\neta_list = 0.1,0.05,0.02")
         cfg = parse_config(text)
         cfg.output_dir = str(tmp_path)
-        assert run(cfg, workers=2) == 0
+        assert run(cfg) == 0
         payload = json.loads((tmp_path / "period-sweep.json").read_text())
         assert payload["A"] > 0
         assert len(payload["periods"]) == 3
@@ -135,7 +135,7 @@ class TestRun:
             "kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586")
         cfg = parse_config(text)
         cfg.output_dir = str(tmp_path)
-        assert run(cfg, workers=1) == 0
+        assert run(cfg) == 0
         payload = json.loads((tmp_path / "floquet.json").read_text())
         rec = payload["records"][0]
         assert abs(rec["det"] - 1.0) < 1e-8
@@ -150,7 +150,7 @@ class TestRun:
         text = text.replace("max_time = 2.0", "max_time = 50.0")
         cfg = parse_config(text)
         cfg.output_dir = str(tmp_path)
-        assert run(cfg, workers=1) == 0
+        assert run(cfg) == 0
         payload = json.loads((tmp_path / "stability.json").read_text())
         assert payload["j_within_regime"] is True
         assert len(payload["loop_records"]) == 1
@@ -166,7 +166,7 @@ class TestRun:
         text = text.replace("max_time = 2.0", "max_time = 50.0")
         cfg = parse_config(text)
         cfg.output_dir = str(tmp_path)
-        assert run(cfg, workers=1) == 0
+        assert run(cfg) == 0
         payload = json.loads((tmp_path / "stability.json").read_text())
         assert payload["requested_loops"] == 1
         assert payload["completed_loops"] == 1
@@ -177,17 +177,66 @@ class TestRun:
         cfg = parse_config(text)
         cfg.output_dir = str(tmp_path)
         # an absurd drift tolerance forces the ANOMALY verdict, exit 2
-        assert run(cfg, workers=1) == 2
+        assert run(cfg) == 2
         payload = json.loads((tmp_path / "energy-check.json").read_text())
         assert payload["anomaly"] is True
 
     def test_csv_full_precision(self, tmp_path):
         cfg = parse_config(MINIMAL)
         cfg.output_dir = str(tmp_path)
-        run(cfg, workers=1)
+        run(cfg)
         row = (tmp_path / "simulate.csv").read_text().splitlines()[1].split(",")
         # 17 significant digits round-trip exactly
         assert float(row[1]) == 0.1
+
+
+FIRST_RETURN = MINIMAL.replace(
+    "kind = simulate\neta = 0.1",
+    "kind = first-return\neta_list = 0.1,0.05,0.02,0.01\nseeds = 1,2\n"
+    "distribution = random_direction\nmodes = 1,2,3").replace(
+    "max_time = 2.0", "max_time = 100.0").replace("dt = 1e-3", "dt = 1e-2")
+
+
+class TestFirstReturnSweep:
+    def test_failed_member_is_recorded_and_sweep_goes_on(self, tmp_path, monkeypatch):
+        # a budget of 10 periods of 1e-2 leaves the eta = 0.05 members 10
+        # steps, far short of their return
+        import kgorbit.experiments as experiments
+        real_period = experiments.period
+        monkeypatch.setattr(experiments, "period",
+                            lambda eta, params: 1e-2 if eta == 0.05 else real_period(eta, params))
+        cfg = parse_config(FIRST_RETURN)
+        cfg.output_dir = str(tmp_path)
+        assert run(cfg) == 2
+        payload = json.loads((tmp_path / "first-return.json").read_text())
+        runs = payload["runs"]
+        assert len(runs) == 8 and payload["failed_runs"] == 2
+        for r in runs:
+            if r["eta"] == 0.05:
+                assert r["error"]["type"] == "NoReturn"
+                assert "no admissible crossing" in r["error"]["message"]
+                assert "return_time" not in r
+            else:
+                assert "error" not in r and r["return_time"] > 0 and r["distance"] > 0
+        # the fit covers the three eta values whose runs succeeded
+        assert payload["distance_exponent_fit"] is not None
+        rows = (tmp_path / "first-return.csv").read_text().splitlines()
+        assert len(rows) == 9
+        failed_rows = [row.split(",") for row in rows[1:] if float(row.split(",")[0]) == 0.05]
+        assert len(failed_rows) == 2
+        assert all(row[2] == row[3] == row[5] == "nan" for row in failed_rows)
+
+    def test_rerun_gives_identical_files(self, tmp_path):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(FIRST_RETURN)
+        outputs = []
+        for name in ("o1", "o2"):
+            out = tmp_path / name
+            assert main(["--config", str(cfg_path), "--output", str(out)]) in (0, 2)
+            outputs.append({f: (out / f).read_bytes()
+                            for f in ("first-return.csv", "first-return.json")})
+        assert outputs[0] == outputs[1]
+        assert b"error" not in outputs[0]["first-return.json"]
 
 
 class TestMain:
@@ -195,8 +244,7 @@ class TestMain:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(MINIMAL)
         out_dir = tmp_path / "out"
-        assert main(["--config", str(cfg_path), "--output", str(out_dir),
-                     "--workers", "1"]) == 0
+        assert main(["--config", str(cfg_path), "--output", str(out_dir)]) == 0
         assert (out_dir / "simulate.json").exists()
 
     def test_main_parse_error_record(self, tmp_path, capsys):
@@ -217,7 +265,7 @@ class TestMain:
         cfg_path.write_text(MINIMAL)
         out_dir = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--output", str(out_dir),
-                     "--workers", "1", "--format", "json"]) == 0
+                     "--format", "json"]) == 0
         assert (out_dir / "simulate.json").exists()
         assert not (out_dir / "simulate.csv").exists()
 
@@ -229,10 +277,10 @@ class TestMain:
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(text)
         out1, out2, out3 = (tmp_path / d for d in ("o1", "o2", "o3"))
-        main(["--config", str(cfg_path), "--output", str(out1), "--workers", "1"])
-        main(["--config", str(cfg_path), "--output", str(out2), "--workers", "1",
+        main(["--config", str(cfg_path), "--output", str(out1)])
+        main(["--config", str(cfg_path), "--output", str(out2),
               "--seed", "99"])
-        main(["--config", str(cfg_path), "--output", str(out3), "--workers", "1",
+        main(["--config", str(cfg_path), "--output", str(out3),
               "--seed", "1"])
         j1 = json.loads((out1 / "simulate.json").read_text())
         j2 = json.loads((out2 / "simulate.json").read_text())
@@ -243,7 +291,7 @@ class TestMain:
         capsys.readouterr()
         cfg_path.write_text(text.replace("seed = 1", "seeds = 1,2"))
         out = tmp_path / "o4"
-        assert main(["--config", str(cfg_path), "--output", str(out), "--workers", "1",
+        assert main(["--config", str(cfg_path), "--output", str(out),
                      "--seed", "99"]) == 1
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["type"] == "ValidationError"

@@ -5,8 +5,8 @@ import pytest
 
 from kgorbit import (EmptyModeSet, PerturbationSpec, State, StepperConfig,
                      ValidationError, default_band, dist_x, hamiltonian,
-                     period, perturb_near_orbit, run_first_return,
-                     run_many_loops)
+                     NoReturn, period, perturb_near_orbit, run_first_return,
+                     run_first_returns, run_many_loops)
 from kgorbit.experiments import (bound_check_I, linear_fit,
                                  period_scaling_sweep, phi_envelope_fit,
                                  power_law_fit)
@@ -102,6 +102,38 @@ class TestFirstReturn:
         assert res.J_at_return <= 50.0 * j0
         # the section pins the start coordinate at the return point
         assert abs(res.state.b[0] - s0.b[0]) <= 1e-10
+
+
+    def test_ensemble_matches_member_runs(self, table8, params8):
+        cfg = StepperConfig(dt=2e-3, scheme="rk4", max_time=100.0, sample_stride=50)
+        band = default_band(params8)
+        etas = [0.1, 0.1, 0.05, 0.02]
+        starts = [perturb_near_orbit(
+            eta, None, PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
+                                        distribution="random_direction", seed=seed),
+            table8, params8) for eta, seed in zip(etas, (1, 2, 1, 1))]
+        stacked = run_first_returns(starts, etas, band, cfg, table8, params8)
+        for s0, eta, got in zip(starts, etas, stacked):
+            ref = run_first_return(s0, eta, band, cfg, table8, params8)
+            for name in ("return_time", "distance", "J_at_return"):
+                assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-9)
+
+    def test_member_without_return_keeps_its_slot(self, table8, params8, monkeypatch):
+        # a budget of 10 periods of 1e-3 leaves the eta = 0.05 member 10
+        # steps, far short of its return
+        import kgorbit.experiments as experiments
+        real_period = experiments.period
+        monkeypatch.setattr(experiments, "period",
+                            lambda eta, params: 1e-3 if eta == 0.05 else real_period(eta, params))
+        cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=100.0, sample_stride=50)
+        band = default_band(params8)
+        etas = [0.1, 0.05]
+        out = run_first_returns([base_state(table8, e) for e in etas], etas, band, cfg,
+                                table8, params8)
+        assert isinstance(out[1], NoReturn)
+        assert out[0].return_time == pytest.approx(period(0.1, params8), rel=1e-5)
+        with pytest.raises(NoReturn):
+            run_first_return(base_state(table8, 0.05), 0.05, band, cfg, table8, params8)
 
 
 class TestManyLoops:

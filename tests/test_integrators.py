@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kgorbit import (NoCrossing, NonFiniteState, SectionSpec, State,
-                     StepperConfig, dist_x, evolve, homoclinic, period,
-                     refine_crossing, rk4_step, split2_step)
+                     StepperConfig, dist_x, evolve, evolve_ensemble, homoclinic,
+                     period, refine_crossing, rk4_step, split2_step)
 from kgorbit.integrators import _LinearFlow
 
 
@@ -228,3 +228,69 @@ class TestSections:
         assert before is not None
         with pytest.raises(NoCrossing):
             refine_crossing(before, after, sec, table, params, scheme="rk4")
+
+    def test_rejected_crossings_counted_by_reason(self, table, params):
+        # a0 = 0.6 lies right of the center 0.5, so the constraint
+        # a0_left_of_center turns down every crossing of that section
+        sec = SectionSpec(kind="a0_equals", level=0.6, sign_constraint="a0_left_of_center")
+        cfg = StepperConfig(dt=1e-2, scheme="rk4", max_time=30.0,
+                            sample_stride=100, section=sec)
+        traj = evolve(planar(table, 0.1), cfg, table, params)
+        assert traj.events == []
+        assert traj.rejected["sign_constraint"] > 0
+        assert traj.rejected["stalled"] == traj.rejected["no_sign_change"] == 0
+
+
+class TestEnsemble:
+    def _members(self, table):
+        starts = [planar(table, 0.1), planar(table, 0.05, t=1.5), planar(table, 0.2)]
+        starts[1].a[2], starts[2].b[3] = 1e-4, -2e-4
+        secs = [SectionSpec("b0_equals", 0.0, "a0_left_of_center"),
+                None,
+                SectionSpec("a0_equals", 0.3, "b0_positive")]
+        horizons = [40.0, 7.3, 25.0]
+        return starts, [StepperConfig(dt=1e-2, scheme="rk4", max_time=T,
+                                      sample_stride=7, section=sec)
+                        for T, sec in zip(horizons, secs)]
+
+    def test_members_match_single_runs(self, table, params):
+        starts, cfgs = self._members(table)
+        limits = [1, None, 2]
+        stacked = evolve_ensemble(starts, cfgs, table, params, max_events=limits)
+        for s0, cfg, limit, got in zip(starts, cfgs, limits, stacked):
+            ref = evolve(s0, cfg, table, params, max_events=limit)
+            assert np.array_equal(got.times, ref.times)
+            assert np.abs(got.a - ref.a).max() <= 1e-12 * np.abs(ref.a).max()
+            assert np.abs(got.b - ref.b).max() <= 1e-12 * np.abs(ref.b).max()
+            assert len(got.events) == len(ref.events)
+            for (t_got, st_got), (t_ref, st_ref) in zip(got.events, ref.events):
+                assert t_got == pytest.approx(t_ref, rel=1e-12)
+                assert dist_x(st_got, st_ref, table) <= 1e-12
+            assert got.rejected == ref.rejected
+        # the event budgets stop members 0 and 2 early; member 1 runs to
+        # its horizon from its own start time
+        assert len(stacked[0].events) == 1 and len(stacked[2].events) == 2
+        assert stacked[0].times[-1] < 40.0
+        assert stacked[1].times[-1] == pytest.approx(1.5 + 7.3)
+        assert stacked[1].events == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blown_up_member_keeps_its_slot(self, table, params):
+        cfg = StepperConfig(dt=1.0, scheme="rk4", max_time=20.0, sample_stride=1)
+        out = evolve_ensemble([planar(table, 0.1), planar(table, 1e4, 1e4)],
+                              [cfg, cfg], table, params)
+        assert isinstance(out[1], NonFiniteState)
+        assert len(out[0].times) == 21 and np.isfinite(out[0].a).all()
+
+    def test_members_must_share_step(self, table, params):
+        cfgs = [StepperConfig(dt=1e-2), StepperConfig(dt=2e-2)]
+        with pytest.raises(ValueError):
+            evolve_ensemble([planar(table, 0.1)] * 2, cfgs, table, params)
+
+    def test_samples_are_read_only(self, table, params):
+        cfg = StepperConfig(dt=1e-2, max_time=0.5, sample_stride=10)
+        traj = evolve(planar(table, 0.1), cfg, table, params)
+        with pytest.raises(ValueError):
+            traj.states[0].a[0] = 1.0
+        with pytest.raises(ValueError):
+            traj.series("H")[0] = 1.0

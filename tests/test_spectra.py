@@ -7,6 +7,7 @@ import pytest
 from kgorbit import (AssumptionViolated, DimensionMismatch, ModelParams, State,
                      build_spectrum, energy_breakdown, project_power, q_vector,
                      to_grid, to_modes)
+from kgorbit.spectra import _project_power_raw, _synthesis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -254,3 +255,33 @@ class TestFactorisedTransforms:
         assert np.abs(to_modes(g, table) - a).max() < 1e-13 * np.abs(a).max()
         # Parseval for the exact quadrature: <u^3, u> = mean of u^4
         assert a @ project_power(a, 3, table) == pytest.approx(np.mean(g ** 4), rel=1e-12)
+
+
+class TestStackedTransforms:
+    """A leading member axis: each row as its own single-state call."""
+
+    def test_1d_single_member_stack_is_bit_identical(self, table8, rng):
+        a = rng.standard_normal(table8.mode_count)
+        single = _project_power_raw(a, 3, table8)
+        stacked = _project_power_raw(a[None, :], 3, table8)
+        assert stacked.shape == (1, table8.mode_count)
+        assert np.array_equal(stacked[0], single)
+
+    @pytest.mark.parametrize("params", _TORI, ids=["2d_rect_k3", "3d_k2"])
+    def test_rows_match_single_calls(self, params, rng):
+        table = build_spectrum(params)
+        a = rng.standard_normal((5, table.mode_count))
+        b = rng.standard_normal((5, table.mode_count))
+        a[2, 1:] = b[2, 1:] = 0.0       # one planar member
+        stacked = _project_power_raw(a, 3, table)
+        grids = _synthesis(a, table)
+        stacked_bd = energy_breakdown(State(a, b), table, params)
+        for row in range(5):
+            _assert_close(stacked[row], project_power(a[row], 3, table))
+            _assert_close(grids[row], to_grid(a[row], table).reshape(-1))
+            single_bd = energy_breakdown(State(a[row], b[row]), table, params)
+            for f in dataclasses.fields(single_bd):
+                assert getattr(stacked_bd, f.name)[row] == pytest.approx(
+                    getattr(single_bd, f.name), rel=1e-13, abs=1e-15)
+        assert np.all(stacked[2, 1:] == 0.0)
+        assert stacked_bd.J[2] == 0.0 and stacked_bd.q_norm[2] == 0.0
