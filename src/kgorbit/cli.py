@@ -21,7 +21,8 @@ its (eta, seed) members as one ensemble, stacked in config order, so the
 batch layout depends on the config alone; a member that finds no return
 or blows up gets an ``error`` record (type, message) in its JSON run and
 NaN fields in its CSV row, the fit uses the other members, and the sweep
-exits 2.  Every stochastic perturbation requires an explicit seed; all
+exits 2.  A floquet sweep makes one loop pass per eta for all its
+lambdas.  Every stochastic perturbation requires an explicit seed; all
 outputs are reproducible from (config, seed).  CSV files carry a header
 row, '.' decimal separator, LF line endings and 17 significant digits.
 """
@@ -37,14 +38,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import KgError, AssumptionViolated, ParseError, ValidationError
+from .errors import KgError, AssumptionViolated, OutOfRange, ParseError, ValidationError
 from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, linear_fit,
                           perturb_near_orbit, power_law_fit, run_first_returns,
                           run_many_loops)
 from .hamiltonian import energy_breakdown
 from .integrators import StepperConfig, evolve
 from .spectra import ModelParams, build_spectrum, check_mass_gap
-from .stationary import delta_band, default_band, floquet, period, sample_orbit
+from .stationary import (check_mode_eigenvalues, delta_band, default_band, floquet,
+                         period, sample_orbit)
 
 SCHEMA_VERSION = 1
 
@@ -182,11 +184,14 @@ def _validate(values: dict) -> RunConfig:
         raise ValidationError(str(exc)) from exc
 
     st = values["stepper"]
-    stepper = StepperConfig(
-        dt=st.get("dt", 1e-3), scheme=st.get("scheme", "split2"),
-        max_time=st.get("max_time", 10.0),
-        sample_stride=st.get("sample_stride", 10),
-    )
+    try:
+        stepper = StepperConfig(
+            dt=st.get("dt", 1e-3), scheme=st.get("scheme", "split2"),
+            max_time=st.get("max_time", 10.0),
+            sample_stride=st.get("sample_stride", 10),
+        )
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
     ex = values["experiment"]
     if "kind" not in ex:
@@ -200,8 +205,13 @@ def _validate(values: dict) -> RunConfig:
         raise ValidationError(f"experiment '{kind}' requires 'eta_list'")
     if kind == "first-return" and not experiment.eta_list and experiment.eta is None:
         raise ValidationError("experiment 'first-return' requires 'eta' or 'eta_list'")
-    if kind == "floquet" and not experiment.lambdas:
-        raise ValidationError("experiment 'floquet' requires 'lambdas'")
+    if kind == "floquet":
+        if not experiment.lambdas:
+            raise ValidationError("experiment 'floquet' requires 'lambdas'")
+        try:
+            check_mode_eigenvalues(experiment.lambdas, params)
+        except OutOfRange as exc:
+            raise ValidationError(str(exc)) from exc
     if experiment.distribution == "random_direction" \
             and experiment.seed is None and not experiment.seeds:
         raise ValidationError(
@@ -442,10 +452,9 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
     records = []
     for eta in ex.eta_list:
         orbit = sample_orbit(eta, 64, cfg.model)
-        for lam in ex.lambdas:
-            mono = floquet(orbit, lam, cfg.model, dt=cfg.stepper.dt)
+        for mono in floquet(orbit, ex.lambdas, cfg.model, dt=cfg.stepper.dt):
             records.append({
-                "eta": eta, "lambda": lam, "det": mono.determinant,
+                "eta": eta, "lambda": mono.mode_eigenvalue, "det": mono.determinant,
                 "trace": mono.trace, "classification": mono.classification,
                 "multipliers": [[m.real, m.imag] for m in mono.multipliers]})
     anomaly = any(abs(r["det"] - 1.0) > 1e-8 for r in records)

@@ -14,7 +14,7 @@ and every eta in (0, m^(1/p)) selects a periodic loop through (eta, 0)
 inside the separatrix.  Its period diverges like (2/m) ln(1/eta) as the
 loop approaches the saddle.  This module provides the closed forms, the
 period as a singularity-free quadrature, level-set projection/distance,
-and Floquet analysis of a single nonconstant mode driven by the loop.
+and Floquet monodromies of nonconstant modes driven by the loop.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "PlanarState", "PeriodicOrbit", "DeltaBand", "Monodromy",
     "homoclinic", "turning_point", "period", "sample_orbit", "delta_band",
     "default_band", "invert_potential", "project_to_orbit", "dist_to_orbit",
-    "floquet",
+    "check_mode_eigenvalues", "floquet",
 ]
 
 
@@ -272,50 +272,114 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
     return (value, path) if with_path else value
 
 
-def floquet(orbit: PeriodicOrbit, lambda_n: float, params: ModelParams,
-            dt: float = 1e-3, potential=None) -> Monodromy:
-    """Monodromy of one driven mode, da = b, db = -(lambda_n^2 - m^2) a - V(t) a,
+_FLOQUET_BLOCK = 1024  # steps per product tree: bounds memory, amortises numpy calls
+
+
+def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:
+    """Raise OutOfRange unless every driven-mode eigenvalue exceeds m
+    (a nonconstant mode; ``lambda_n`` is a number or a sequence)."""
+    for lam in (lambda_n if np.ndim(lambda_n) else (lambda_n,)):
+        if not lam > params.m:
+            raise OutOfRange(
+                f"mode eigenvalue must exceed m = {params.m}, got {lam!r}")
+
+
+def _step_propagators(c1, c2, c3, c4, h):
+    """RK4 step matrix S of x' = [[0, 1], [c, 0]] x from its four stage
+    coefficients, elementwise, returned as S - I in components (11, 12,
+    21, 22).  Products are carried as offsets from the identity so that
+    rounding scales with the O(h) entries, not with 1."""
+    q = h * h
+    return (q / 6.0 * (c1 + c2 + c3) + q * q / 24.0 * c1 * c3,
+            h + h * q / 12.0 * (c2 + c3),
+            h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+            + h * q / 12.0 * (c1 * c3 + c2 * c4),
+            q / 6.0 * (c2 + c3 + c4) + q * q / 24.0 * c2 * c4)
+
+
+def _mul(late, early):
+    """(I + late) @ (I + early) - I on component tuples (11, 12, 21, 22)."""
+    l11, l12, l21, l22 = late
+    e11, e12, e21, e22 = early
+    return (l11 + e11 + (l11 * e11 + l12 * e21), l12 + e12 + (l11 * e12 + l12 * e22),
+            l21 + e21 + (l21 * e11 + l22 * e21), l22 + e22 + (l21 * e12 + l22 * e22))
+
+
+def _tree_product(s):
+    """Product S_(n-1) ... S_0 by pairwise reduction, in the offset
+    components of ``_step_propagators`` ((n, modes) arrays, rows in time
+    order); returns (modes,) arrays."""
+    while len(s[0]) > 1:
+        n = len(s[0]) // 2 * 2
+        paired = _mul([x[1:n:2] for x in s], [x[0:n:2] for x in s])
+        if n < len(s[0]):
+            paired = [np.concatenate((x, y[n:])) for x, y in zip(paired, s)]
+        s = paired
+    return tuple(x[0] for x in s)
+
+
+def floquet(orbit: PeriodicOrbit, lambda_n, params: ModelParams,
+            dt: float = 1e-3, potential=None):
+    """Monodromy of driven modes, da = b, db = -(lambda_n^2 - m^2) a - V(t) a,
     over one loop period with V(t) = (2p+1) a0(t)^(2p).
 
-    The loop is re-integrated jointly with the 2x2 fundamental system by
-    fixed-step RK4 (halving dt must leave the multipliers unchanged to
-    rounding), rather than interpolating stored samples, which would
-    pollute the determinant-1 identity.  Passing ``potential`` (a callable
-    of t) replaces the loop-driven V, e.g. ``lambda t: 0.0`` for the
-    constant-coefficient check.
+    ``lambda_n`` is one eigenvalue (returns a Monodromy) or a sequence
+    (returns a list of Monodromy in the same order); all modes share one
+    pass over the loop.  That planar pass re-integrates the loop from
+    (eta, 0) by scalar fixed-step RK4 with n = max(16, ceil(T/dt)) steps
+    and records the four stage values of a0 (and the stage times) one
+    block of steps at a time.  The loop is re-integrated rather than
+    interpolated from stored samples, because interpolation error would
+    pollute the determinant-1 identity; halving dt must leave the
+    multipliers unchanged to rounding.  For each block the exact RK4 step
+    matrix of every mode's linear system is built from the stage
+    coefficients, the block's matrices are multiplied by pairwise
+    reduction, and the result is folded into the running product in time
+    order, so the working memory does not grow with T/dt.  This equals
+    RK4 on the joint planar-plus-fundamental system up to rounding.
+    Passing ``potential`` (a callable of t) replaces the loop-driven V,
+    e.g. ``lambda t: 0.0`` for the constant-coefficient check.
     """
-    if not lambda_n > params.m:
-        raise OutOfRange(
-            f"mode eigenvalue must exceed m = {params.m}, got {lambda_n!r}")
-    p = params.p
-    w2 = lambda_n ** 2 - params.m ** 2
+    check_mode_eigenvalues(lambda_n, params)
+    scalar = np.ndim(lambda_n) == 0
+    lambdas = [lambda_n] if scalar else list(lambda_n)
+    w2 = np.array([lam ** 2 - params.m ** 2 for lam in lambdas])
     T = orbit.period
     n_steps = max(16, int(np.ceil(T / dt)))
     h = T / n_steps
+    hh, h6 = 0.5 * h, h / 6.0
+    total = (np.zeros_like(w2),) * 4
 
-    if potential is None:
-        def pot(t, a0):
-            return (2 * p + 1) * a0 ** (2 * p)
-    else:
-        def pot(t, a0):
-            return potential(t)
+    def block_product(record):
+        t, a1, a2, a3, a4 = np.array(record).reshape(-1, 5).T
+        if potential is None:
+            v = [(2 * params.p + 1) * a ** (2 * params.p) for a in (a1, a2, a3, a4)]
+        else:
+            v = [np.array([potential(s) for s in ts]) for ts in (t, t + hh, t + hh, t + h)]
+        return _tree_product(_step_propagators(*(-w2 - vi[:, None] for vi in v), h))
 
-    def deriv(t, y):
-        a0, b0, x11, x21, x12, x22 = y
-        c = -w2 - pot(t, a0)
-        return np.array([b0, force(a0, params), x21, c * x11, x22, c * x12])
+    a, b, t = float(orbit.eta), 0.0, 0.0
+    for first in range(0, n_steps, _FLOQUET_BLOCK):
+        record = []
+        for _ in range(min(_FLOQUET_BLOCK, n_steps - first)):
+            f1 = force(a, params)
+            a2, b2 = a + hh * b, b + hh * f1
+            f2 = force(a2, params)
+            a3, b3 = a + hh * b2, b + hh * f2
+            f3 = force(a3, params)
+            a4, b4 = a + h * b3, b + h * f3
+            f4 = force(a4, params)
+            record += (t, a, a2, a3, a4)
+            a = a + h6 * (b + 2 * b2 + 2 * b3 + b4)
+            b = b + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
+            t += h
+        total = _mul(block_product(record), total)
 
-    y = np.array([orbit.eta, 0.0, 1.0, 0.0, 0.0, 1.0])
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-
-    matrix = np.array([[y[2], y[4]], [y[3], y[5]]])
-    mults = np.linalg.eigvals(matrix)
-    mults = tuple(sorted((complex(m) for m in mults), key=lambda z: (z.real, z.imag)))
-    return Monodromy(matrix=matrix, multipliers=mults, mode_eigenvalue=lambda_n)
+    monos = []
+    for k, lam in enumerate(lambdas):
+        matrix = np.array([[1.0 + total[0][k], total[1][k]],
+                           [total[2][k], 1.0 + total[3][k]]])
+        mults = np.linalg.eigvals(matrix)
+        mults = tuple(sorted((complex(m) for m in mults), key=lambda z: (z.real, z.imag)))
+        monos.append(Monodromy(matrix=matrix, multipliers=mults, mode_eigenvalue=lam))
+    return monos[0] if scalar else monos

@@ -6,6 +6,7 @@ import pytest
 
 from kgorbit import ParseError, ValidationError, parse_config, run, serialize_config
 from kgorbit.cli import main
+from kgorbit.stationary import floquet, sample_orbit
 
 MINIMAL = """\
 [model]
@@ -130,16 +131,24 @@ class TestRun:
         assert rows[0] == "eta,period" and len(rows) == 4
 
     def test_floquet(self, tmp_path):
+        etas, lams = (0.1, 0.05), (4 * math.pi, 2 * math.pi)
         text = MINIMAL.replace(
             "kind = simulate\neta = 0.1",
-            "kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586")
+            "kind = floquet\neta_list = 0.1,0.05\n"
+            "lambdas = 12.566370614359172,6.283185307179586")
         cfg = parse_config(text)
         cfg.output_dir = str(tmp_path)
         assert run(cfg) == 0
-        payload = json.loads((tmp_path / "floquet.json").read_text())
-        rec = payload["records"][0]
-        assert abs(rec["det"] - 1.0) < 1e-8
-        assert rec["classification"] in ("elliptic", "hyperbolic")
+        records = json.loads((tmp_path / "floquet.json").read_text())["records"]
+        assert [(r["eta"], r["lambda"]) for r in records] == \
+            [(eta, lam) for eta in etas for lam in lams]
+        for rec in records:
+            mono = floquet(sample_orbit(rec["eta"], 64, cfg.model), rec["lambda"],
+                           cfg.model, dt=cfg.stepper.dt)
+            assert rec["det"] == mono.determinant and rec["trace"] == mono.trace
+            assert rec["multipliers"] == [[m.real, m.imag] for m in mono.multipliers]
+            assert rec["classification"] == mono.classification
+            assert abs(rec["det"] - 1.0) < 1e-8
 
     def test_stability_report(self, tmp_path):
         text = MINIMAL.replace(
@@ -254,6 +263,33 @@ class TestMain:
         record = json.loads(capsys.readouterr().out)
         assert record["error"]["type"] == "ParseError"
         assert record["error"]["key"] == "m"
+
+    def test_bad_stepper_value_record(self, tmp_path, capsys):
+        floquet_text = MINIMAL.replace(
+            "kind = simulate\neta = 0.1",
+            "kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586")
+        for old, new, message in (("dt = 1e-3", "dt = 0", "dt must be positive"),
+                                  ("max_time = 2.0", "max_time = -1",
+                                   "max_time must be positive"),
+                                  ("sample_stride = 100", "sample_stride = 0",
+                                   "sample_stride must be >= 1")):
+            cfg_path = tmp_path / "bad.cfg"
+            cfg_path.write_text(floquet_text.replace(old, new))
+            assert main(["--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error == {"type": "ValidationError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    def test_floquet_lambda_at_or_below_mass_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MINIMAL.replace(
+            "kind = simulate\neta = 0.1",
+            "kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586,0.3"))
+        assert main(["--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValidationError"
+        assert "0.3" in error["message"] and "m = 0.5" in error["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_main_missing_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 1

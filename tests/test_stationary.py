@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,7 +237,63 @@ class TestDistToOrbit:
         assert d > 0
 
 
+def joint_rk4_monodromy(orbit, lambda_n, params, dt, potential=None):
+    """Reference monodromy: classical RK4 on the joint 6-component system
+    (a0, b0, x11, x21, x12, x22), loop and fundamental matrix together."""
+    p = params.p
+    w2 = lambda_n ** 2 - params.m ** 2
+    n_steps = max(16, int(np.ceil(orbit.period / dt)))
+    h = orbit.period / n_steps
+
+    def deriv(t, y):
+        a0, b0, x11, x21, x12, x22 = y
+        v = (2 * p + 1) * a0 ** (2 * p) if potential is None else potential(t)
+        c = -w2 - v
+        return np.array([b0, force(a0, params), x21, c * x11, x22, c * x12])
+
+    y = np.array([orbit.eta, 0.0, 1.0, 0.0, 0.0, 1.0])
+    t = 0.0
+    for _ in range(n_steps):
+        k1 = deriv(t, y)
+        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = deriv(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return np.array([[y[2], y[4]], [y[3], y[5]]])
+
+
 class TestFloquet:
+    def test_matches_joint_rk4_reference(self, params):
+        orbit = sample_orbit(0.1, 64, params)
+        for potential in (None, lambda t: 0.0):
+            for lam in (2 * math.pi, 4 * math.pi):
+                mono = floquet(orbit, lam, params, dt=1e-3, potential=potential)
+                ref = joint_rk4_monodromy(orbit, lam, params, 1e-3, potential)
+                assert np.max(np.abs(mono.matrix - ref)) <= 1e-12
+
+    def test_sequence_equals_scalar_calls(self, params):
+        orbit = sample_orbit(0.05, 64, params)
+        lams = [4 * math.pi, 2 * math.pi, 3 * math.pi]
+        monos = floquet(orbit, lams, params, dt=1e-3)
+        assert isinstance(monos, list) and len(monos) == 3
+        for lam, mono in zip(lams, monos):
+            single = floquet(orbit, lam, params, dt=1e-3)
+            assert mono.mode_eigenvalue == lam
+            assert np.array_equal(mono.matrix, single.matrix)
+            assert mono.multipliers == single.multipliers
+
+    def test_working_memory_independent_of_steps(self, params):
+        # 135k steps; whole-loop stage arrays alone would take 4.3 MiB
+        orbit = sample_orbit(0.1, 64, params)
+        tracemalloc.start()
+        try:
+            floquet(orbit, [2 * math.pi, 4 * math.pi], params, dt=1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_constant_coefficient_hook(self, params):
         orbit = sample_orbit(0.1, 64, params)
         lam = 2 * math.pi
@@ -267,3 +324,5 @@ class TestFloquet:
         orbit = sample_orbit(0.1, 64, params)
         with pytest.raises(OutOfRange):
             floquet(orbit, 0.3, params)
+        with pytest.raises(OutOfRange, match="0.3"):
+            floquet(orbit, [2 * math.pi, 0.3], params)
