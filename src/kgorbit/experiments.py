@@ -312,10 +312,9 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         times_all.append(traj.times[keep])
         j_all.append(j_vals[keep])
         loop_max_j = float(j_vals.max())
-        for st in traj.states:
-            d = dist_to_orbit(st, eta, band, table, params, orbit=orbit_cache)
-            max_dist = max(max_dist, d)
-            max_abs_a0 = max(max_abs_a0, abs(float(st.a[0])))
+        max_dist = max(max_dist, float(dist_to_orbit(
+            State(traj.a, traj.b), eta, band, table, params, orbit=orbit_cache).max()))
+        max_abs_a0 = max(max_abs_a0, float(np.abs(traj.a[:, 0]).max()))
         d_ret = dist_to_orbit(res.state, eta, band, table, params, orbit=orbit_cache)
         max_dist = max(max_dist, d_ret)
         records.append(LoopRecord(

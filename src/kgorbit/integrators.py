@@ -18,10 +18,15 @@ Two schemes:
 
 One stage function serves both schemes on one state or on a stack of
 states (members x modes), with one kernel call per force evaluation for
-the whole stack.  ``evolve_ensemble`` steps a stack of independent
-members, each with its own section, horizon and event budget; a member
-that blows up is recorded in its own slot while the others go on.
-``evolve`` is the single-member case.
+the whole stack.  The closing half-kick of a ``split2`` step and the
+opening half-kick of the next read the same positions, so the stage
+returns the closing force and the next step opens with it ("first same
+as last"): a run of N steps makes N + 1 kernel calls, not 2N.  The two
+half-kicks stay separate, so every sample sits on a step boundary.
+``evolve_ensemble`` steps a stack of independent members, each with its
+own section, horizon and event budget; a member that blows up is
+recorded in its own slot while the others go on.  ``evolve`` is the
+single-member case.
 
 Section crossings are detected by a per-step sign change of the residual
 and refined by bisected re-integration from the bracketing state, which
@@ -120,11 +125,6 @@ class Trajectory:
     table: SpectrumTable = field(repr=False)
     params: ModelParams = field(repr=False)
 
-    @property
-    def states(self) -> list[State]:
-        """One State per sample, viewing the read-only stacks."""
-        return [State(a, b, float(t)) for a, b, t in zip(self.a, self.b, self.times)]
-
     @functools.cached_property
     def energy(self) -> EnergyBreakdown:
         """Energy diagnostics of every sample; each field is an (S,) array."""
@@ -138,12 +138,6 @@ class Trajectory:
             column.flags.writeable = False
             columns[f.name] = column
         return EnergyBreakdown(**columns)
-
-    @property
-    def energy_series(self) -> list[EnergyBreakdown]:
-        """One EnergyBreakdown of floats per sample."""
-        columns = [getattr(self.energy, f.name).tolist() for f in fields(EnergyBreakdown)]
-        return [EnergyBreakdown(*row) for row in zip(*columns)]
 
     def series(self, name: str) -> np.ndarray:
         """One EnergyBreakdown field as an array over samples."""
@@ -182,9 +176,12 @@ class _LinearFlow:
 
 def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
            nonlinear: bool = True):
-    """One step of ``scheme`` as a function (a, b) -> (a, b) on a stack
-    (members, modes), with one kernel call per force evaluation for the
-    whole stack.  Returns new arrays and leaves its inputs untouched.
+    """One step of ``scheme`` as a function (a, b, f) -> (a, b, f) on a
+    stack (members, modes), with one kernel call per force evaluation for
+    the whole stack.  Returns new arrays and leaves its inputs untouched.
+    ``f`` carries the power force at the step's closing positions into
+    the next step: ``split2`` opens with it (computing it when None) and
+    returns the closing force, ``rk4`` ignores it and returns None.
     ``nonlinear=False`` drops the power term.
     """
     exponent = 2 * params.p + 1
@@ -192,13 +189,16 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
         flow = _LinearFlow(table, params, dt)
         half = 0.5 * dt
 
-        def split2(a, b):
+        def split2(a, b, f=None):
             if nonlinear:
-                b = b - half * _project_power_raw(a, exponent, table)
+                if f is None:
+                    f = _project_power_raw(a, exponent, table)
+                b = b - half * f
             a, b = flow.apply(a, b)
             if nonlinear:
-                b -= half * _project_power_raw(a, exponent, table)
-            return a, b
+                f = _project_power_raw(a, exponent, table)
+                b -= half * f
+            return a, b, f
         return split2
 
     w2 = (table.lam_sq - params.m ** 2)[None]
@@ -209,20 +209,20 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
             out -= _project_power_raw(av, exponent, table)
         return out
 
-    def rk4(a, b):
+    def rk4(a, b, f=None):
         k1a, k1b = b, db(a)
         k2a, k2b = b + 0.5 * dt * k1b, db(a + 0.5 * dt * k1a)
         k3a, k3b = b + 0.5 * dt * k2b, db(a + 0.5 * dt * k2a)
         k4a, k4b = b + dt * k3b, db(a + dt * k3a)
         return (a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
-                b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b))
+                b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b), None)
     return rk4
 
 
 def _step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
           scheme: str, nonlinear: bool) -> State:
     validate_state(s, table)
-    a, b = _stage(scheme, dt, table, params, nonlinear)(s.a[None], s.b[None])
+    a, b, _ = _stage(scheme, dt, table, params, nonlinear)(s.a[None], s.b[None])
     return State(a[0], b[0], s.t + dt)
 
 
@@ -369,12 +369,13 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
     levels = np.array([m.section.level if m.section is not None else 0.0
                        for m in members])
     res = np.where(on_a0, a[:, 0], b[:, 0]) - levels
+    f = None                                 # force carried between steps
 
     i = 0
     while active:
         i += 1
         prev_a, prev_b = a, b
-        a, b = stage(a, b)
+        a, b, f = stage(a, b, f)
         leaving: set[int] = set()
 
         if tracked:
@@ -418,6 +419,8 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
             active = [active[r] for r in keep]
             a, b, res = a[keep], b[keep], res[keep]
             on_a0, levels = on_a0[keep], levels[keep]
+            if f is not None:
+                f = f[keep]
 
     return [m.result(table, params) for m in members]
 

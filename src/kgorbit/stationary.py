@@ -195,28 +195,86 @@ def default_band(params: ModelParams) -> DeltaBand:
     return delta_band(0.5 * params.center, params)
 
 
-def invert_potential(y: float, params: ModelParams, branch: str) -> float:
+# Bisection tolerance of invert_potential: brentq's xtol and rtol.
+_XTOL, _RTOL = 1e-15, 8.9e-16
+
+
+def _level_range(branch: str, params: ModelParams) -> tuple[float, float]:
+    """Levels f takes on a monotone branch: [f_min, 0] on 'low', [f_min, inf) on 'high'."""
+    f_min = potential_f(params.center, params)
+    if branch == "low":
+        return f_min, 0.0
+    if branch == "high":
+        return f_min, np.inf
+    raise ValueError(f"unknown branch {branch!r}")
+
+
+def invert_potential(y, params: ModelParams, branch: str):
     """Invert f on one monotone branch: 'low' = (0, m^(1/p)] where f
     decreases from 0 to its minimum, 'high' = [m^(1/p), inf) where it
-    increases from the minimum."""
-    f_min = potential_f(params.center, params)
-    if y < f_min:
+    increases from the minimum.
+
+    ``y`` is one level (returns a float) or an array of levels (returns
+    an array of the same shape).  All levels are solved together by one
+    vectorised bisection on the branch, each bracket narrowed to brentq's
+    tolerance 1e-15 + 8.9e-16 |x| and then finished by one secant step
+    inside it.  Each level's root depends on that level alone.  Raises
+    ProjectionUndefined when any level lies outside the range of f on
+    the branch.
+    """
+    y_lo, y_hi = _level_range(branch, params)
+    levels = np.asarray(y, dtype=float)
+    outside = ~((levels >= y_lo) & (levels <= y_hi))
+    if outside.any():
         raise ProjectionUndefined(
-            f"level {y!r} below the potential minimum {f_min!r}")
-    if branch == "low":
-        if y > 0.0:
-            raise ProjectionUndefined(f"level {y!r} above f(0) = 0 on the low branch")
-        lo, hi = 0.0, params.center
-    elif branch == "high":
-        lo, hi = params.center, params.separatrix_amplitude
-        while potential_f(hi, params) < y:
-            hi *= 2.0
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    if y == f_min:
-        return params.center
-    return float(brentq(lambda x: potential_f(x, params) - y, lo, hi,
-                        xtol=1e-15, rtol=8.9e-16))
+            f"level {float(levels[outside].flat[0])!r} outside [{y_lo!r}, {y_hi!r}] "
+            f"on the {branch} branch")
+    rising = branch == "high"
+    lo = np.full_like(levels, params.center if rising else 0.0)
+    hi = np.full_like(levels, params.separatrix_amplitude if rising else params.center)
+    short = potential_f(hi, params) < levels
+    while short.any():
+        hi[short] *= 2.0
+        short = potential_f(hi, params) < levels
+    while True:
+        x = 0.5 * (lo + hi)
+        wide = hi - lo > _XTOL + _RTOL * np.abs(x)   # converged brackets stay put
+        if not wide.any():
+            break
+        below = (potential_f(x, params) > levels) == rising   # root lies below x
+        hi = np.where(wide & below, x, hi)
+        lo = np.where(wide & ~below, x, lo)
+    # one secant step inside the final bracket, where f is linear to rounding
+    f_lo, f_hi = potential_f(lo, params), potential_f(hi, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo + (levels - f_lo) / (f_hi - f_lo) * (hi - lo)
+    x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+    x = np.where(levels == y_lo, params.center, x)
+    return float(x) if np.ndim(y) == 0 else x
+
+
+def _project(a0: np.ndarray, b0: np.ndarray, eta: float, band: DeltaBand,
+             params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise projection of (a0, b0) arrays onto the loop's level set
+    (the rule of ``project_to_orbit``).  Returns the projected arrays and
+    a mask of the rows whose projection is defined; the others hold NaN."""
+    level = potential_f(eta, params)
+    pa, pb = a0.astype(float), b0.astype(float)
+    defined = np.ones(a0.shape, dtype=bool)
+    inside = (band.delta <= a0) & (a0 <= band.delta_prime)
+    gap = level - potential_f(a0[inside], params)
+    defined[inside] = gap >= -1e-14
+    root = np.sqrt(np.maximum(gap, 0.0))
+    pb[inside] = np.where(b0[inside] >= 0, root, -root)
+    for branch, rows in (("low", a0 < band.delta), ("high", a0 > band.delta_prime)):
+        y_lo, y_hi = _level_range(branch, params)
+        y = level - b0[rows] ** 2
+        ok = (y >= y_lo) & (y <= y_hi)
+        defined[rows] = ok
+        pa[np.flatnonzero(rows)[ok]] = invert_potential(y[ok], params, branch)
+    pa[~defined] = np.nan
+    pb[~defined] = np.nan
+    return pa, pb, defined
 
 
 def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
@@ -225,21 +283,22 @@ def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
 
     Inside [delta, delta'] the position is kept and the velocity adjusted;
     outside, the velocity is kept and the position moved along the
-    monotone branch of f containing it.  Raises ProjectionUndefined when
-    the required root is not real.
+    monotone branch of f containing it.  ``s.a0``/``s.b0`` are numbers
+    or equal-length arrays (all points projected at once, arrays
+    returned).  Raises ProjectionUndefined when a required root is not
+    real.
     """
-    level = potential_f(eta, params)
-    if band.delta <= s.a0 <= band.delta_prime:
-        gap = level - potential_f(s.a0, params)
-        if gap < 0.0:
-            if gap < -1e-14:
-                raise ProjectionUndefined(
-                    f"no real velocity: f(a0) exceeds the level by {-gap:.3e}")
-            gap = 0.0
-        b = np.sqrt(gap)
-        return PlanarState(s.a0, float(b if s.b0 >= 0 else -b))
-    branch = "low" if s.a0 < band.delta else "high"
-    return PlanarState(invert_potential(level - s.b0 ** 2, params, branch), s.b0)
+    a0, b0 = np.atleast_1d(s.a0), np.atleast_1d(s.b0)
+    pa, pb, defined = _project(a0, b0, eta, band, params)
+    if not defined.all():
+        k = int(np.argmin(defined))
+        raise ProjectionUndefined(
+            f"no real point on the level set of eta = {eta!r} for "
+            f"{int((~defined).sum())} of {defined.size} points, "
+            f"first (a0, b0) = ({float(a0[k])!r}, {float(b0[k])!r})")
+    if np.ndim(s.a0) == 0:
+        return PlanarState(float(pa[0]), float(pb[0]))
+    return PlanarState(pa, pb)
 
 
 def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
@@ -248,28 +307,36 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
     """Energy-space distance from a full state to the planar loop.
 
     The constant-mode pair is projected onto the level set and the
-    distance to that embedded point returned.  When the projection is
-    undefined the result falls back to the minimum over dense loop
-    samples (``orbit``, built on demand).  ``with_path=True`` also
-    returns which route produced the value ('projection' or 'samples').
+    distance to that embedded point returned.  Rows whose projection is
+    undefined fall back to the minimum over dense loop samples
+    (``orbit``, built on demand).  ``s`` is one state (returns a float)
+    or a stack of samples with ``a``/``b`` shaped (S, modes) (returns an
+    (S,) array): the one-state call is the one-row case.
+    ``with_path=True`` also returns which route produced each value
+    ('projection' or 'samples'; an (S,) array for a stack).
     """
-    a0, b0 = float(s.a[0]), float(s.b[0])
-    high_a = float(np.sum((1.0 + table.lam_sq[1:]) * s.a[1:] ** 2))
-    high_b = float(np.sum(s.b[1:] ** 2))
-
-    def embedded_distance(pa, pb):
-        return (np.sqrt((a0 - pa) ** 2 + high_a) + np.sqrt((b0 - pb) ** 2 + high_b))
-
+    stacked = s.a.ndim == 2
+    a, b = (s.a, s.b) if stacked else (s.a[None], s.b[None])
+    a0, b0 = a[:, 0], b[:, 0]
+    high_a = np.einsum("ij,ij,j->i", a[:, 1:], a[:, 1:], 1.0 + table.lam_sq[1:])
+    high_b = np.einsum("ij,ij->i", b[:, 1:], b[:, 1:])
+    # the public projection first, so each call that needs the samples
+    # shows as one ProjectionUndefined; only then is the stack split by row
     try:
         proj = project_to_orbit(PlanarState(a0, b0), eta, band, params)
-        value, path = embedded_distance(proj.a0, proj.b0), "projection"
+        pa, pb, defined = proj.a0, proj.b0, np.ones(a0.shape, dtype=bool)
     except ProjectionUndefined:
+        pa, pb, defined = _project(a0, b0, eta, band, params)
+    value = np.sqrt((a0 - pa) ** 2 + high_a) + np.sqrt((b0 - pb) ** 2 + high_b)
+    for r in np.flatnonzero(~defined):
         if orbit is None:
             orbit = sample_orbit(eta, 4096, params)
-        dists = (np.sqrt((a0 - orbit.a0) ** 2 + high_a)
-                 + np.sqrt((b0 - orbit.b0) ** 2 + high_b))
-        value, path = float(dists.min()), "samples"
-    return (value, path) if with_path else value
+        value[r] = np.min(np.sqrt((a0[r] - orbit.a0) ** 2 + high_a[r])
+                          + np.sqrt((b0[r] - orbit.b0) ** 2 + high_b[r]))
+    if not with_path:
+        return value if stacked else float(value[0])
+    path = np.where(defined, "projection", "samples")
+    return (value, path) if stacked else (float(value[0]), str(path[0]))
 
 
 _FLOQUET_BLOCK = 1024  # steps per product tree: bounds memory, amortises numpy calls

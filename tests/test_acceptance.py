@@ -87,9 +87,9 @@ def test_criterion_01_homoclinic_oracle(table_k1, params_k1):
     traj = evolve(planar_state(table_k1, start.a0, start.b0, t=-5.0), cfg,
                   table_k1, params_k1)
     sup = 0.0
-    for t, st in zip(traj.times, traj.states):
+    for t, a, b in zip(traj.times, traj.a, traj.b):
         ref = homoclinic(t, params_k1)
-        sup = max(sup, abs(st.a[0] - ref.a0), abs(st.b[0] - ref.b0))
+        sup = max(sup, abs(a[0] - ref.a0), abs(b[0] - ref.b0))
     report(1, sup <= 1e-6, f"sup-error vs closed form = {sup:.3e} (tol 1e-6)")
 
 
@@ -244,6 +244,6 @@ def test_criterion_11_invariant_plane(table_k8, params_k8):
                         sample_stride=1000)
     traj = evolve(planar_state(table_k8, 0.1), cfg, table_k8, params_k8)
     n_steps = int(round(cfg.max_time / cfg.dt))
-    worst = max(float(np.sum(st.a[1:] ** 2 + st.b[1:] ** 2)) for st in traj.states)
+    worst = max(float(np.sum(a[1:] ** 2 + b[1:] ** 2)) for a, b in zip(traj.a, traj.b))
     report(11, worst == 0.0 and n_steps == 10 ** 6,
            f"max high-mode energy over {n_steps} steps = {worst!r} (must be exactly 0.0)")

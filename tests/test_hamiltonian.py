@@ -188,5 +188,5 @@ class TestPhiDiagnostic:
         bd0 = energy_breakdown(s0, table, params)
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=5.0, sample_stride=500)
         traj = evolve(s0, cfg, table, params)
-        for st in traj.states:
-            assert phi_diagnostic(st, bd0, 0.1, table, params) == 0.0
+        for a, b in zip(traj.a, traj.b):
+            assert phi_diagnostic(State(a, b), bd0, 0.1, table, params) == 0.0

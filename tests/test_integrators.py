@@ -16,6 +16,11 @@ def planar(table, a0, b0=0.0, t=0.0):
     return State(a, b, t)
 
 
+def last(traj):
+    """The final sample of a trajectory as a State."""
+    return State(traj.a[-1], traj.b[-1], float(traj.times[-1]))
+
+
 class TestSingleSteps:
     def test_zero_state_is_fixed(self, table, params):
         z = State(np.zeros(table.mode_count), np.zeros(table.mode_count))
@@ -48,7 +53,7 @@ class TestSingleSteps:
         def run(scheme, dt):
             cfg = StepperConfig(dt=dt, scheme=scheme, max_time=1.0,
                                 sample_stride=10 ** 9)
-            st = evolve(planar(table, start.a0, start.b0), cfg, table, params).states[-1]
+            st = last(evolve(planar(table, start.a0, start.b0), cfg, table, params))
             return abs(st.a[0] - ref.a0) + abs(st.b[0] - ref.b0)
 
         ratio2 = run("split2", 1e-2) / run("split2", 5e-3)
@@ -66,8 +71,8 @@ class TestSingleSteps:
         a[0], a[1], b[2] = 0.1, 0.02, 0.01
         cfg_s = StepperConfig(dt=1e-4, scheme="split2", max_time=10.0, sample_stride=10 ** 9)
         cfg_r = StepperConfig(dt=1e-4, scheme="rk4", max_time=10.0, sample_stride=10 ** 9)
-        end_s = evolve(State(a.copy(), b.copy()), cfg_s, t2, p2).states[-1]
-        end_r = evolve(State(a.copy(), b.copy()), cfg_r, t2, p2).states[-1]
+        end_s = last(evolve(State(a.copy(), b.copy()), cfg_s, t2, p2))
+        end_r = last(evolve(State(a.copy(), b.copy()), cfg_r, t2, p2))
         assert dist_x(end_s, end_r, t2) < 1e-6
 
 
@@ -75,13 +80,13 @@ class TestEvolve:
     def test_planar_start_stays_exactly_planar(self, table, params):
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=20.0, sample_stride=1000)
         traj = evolve(planar(table, 0.1), cfg, table, params)
-        for st in traj.states:
-            assert float(np.sum(st.a[1:] ** 2 + st.b[1:] ** 2)) == 0.0
+        for a, b in zip(traj.a, traj.b):
+            assert float(np.sum(a[1:] ** 2 + b[1:] ** 2)) == 0.0
 
     def test_homoclinic_passage(self, table, params):
         start = homoclinic(-5.0, params)
         cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=5.0, sample_stride=10 ** 9)
-        end = evolve(planar(table, start.a0, start.b0), cfg, table, params).states[-1]
+        end = last(evolve(planar(table, start.a0, start.b0), cfg, table, params))
         tip = homoclinic(0.0, params)
         assert abs(end.a[0] - tip.a0) < 1e-8
         assert abs(end.b[0]) < 1e-8
@@ -101,8 +106,8 @@ class TestEvolve:
     def test_reversibility(self, table, params):
         s0 = planar(table, 0.1)
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=20.0, sample_stride=10 ** 9)
-        fwd = evolve(s0, cfg, table, params).states[-1]
-        back = evolve(State(fwd.a, -fwd.b, 0.0), cfg, table, params).states[-1]
+        fwd = last(evolve(s0, cfg, table, params))
+        back = last(evolve(State(fwd.a, -fwd.b, 0.0), cfg, table, params))
         assert dist_x(State(back.a, -back.b, 0.0), s0, table) < 1e-8
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -118,7 +123,7 @@ class TestEvolve:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0)
-        assert len(traj.energy_series) == len(traj.states) == len(traj.times)
+        assert len(traj.series("H")) == len(traj.a) == len(traj.times)
 
     def test_square_torus_dynamics(self):
         # the tensor-grid path: planar exactness, bounded energy error and
@@ -131,7 +136,7 @@ class TestEvolve:
         a[0] = 0.1
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=5.0, sample_stride=500)
         traj = evolve(State(a.copy(), b.copy()), cfg, t2, p2)
-        assert max(float(np.sum(st.a[1:] ** 2 + st.b[1:] ** 2)) for st in traj.states) == 0.0
+        assert max(float(np.sum(a[1:] ** 2 + b[1:] ** 2)) for a, b in zip(traj.a, traj.b)) == 0.0
 
         a[3], b[5] = 1e-3, 1e-3
         traj = evolve(State(a.copy(), b.copy()), cfg, t2, p2)
@@ -291,6 +296,56 @@ class TestEnsemble:
         cfg = StepperConfig(dt=1e-2, max_time=0.5, sample_stride=10)
         traj = evolve(planar(table, 0.1), cfg, table, params)
         with pytest.raises(ValueError):
-            traj.states[0].a[0] = 1.0
+            traj.a[0, 0] = 1.0
         with pytest.raises(ValueError):
             traj.series("H")[0] = 1.0
+
+
+class TestForceReuse:
+    """split2 opens each step with the force its previous step closed with."""
+
+    def _start(self, table, eta, seed):
+        from kgorbit import PerturbationSpec, perturb_near_orbit
+        spec = PerturbationSpec(amplitude=1e-2, mode_set=(1, 2, 3),
+                                distribution="random_direction", seed=seed)
+        return perturb_near_orbit(eta, None, spec, table, table.params)
+
+    def test_one_member_equals_step_loop(self, table8, params8):
+        # the reference loop evaluates both kicks of every step
+        s = self._start(table8, 0.1, 1)
+        cfg = StepperConfig(dt=1e-2, scheme="split2", max_time=3.0, sample_stride=1)
+        traj = evolve(s, cfg, table8, params8)
+        assert len(traj.times) == 301
+        for i in range(1, len(traj.times)):
+            s = split2_step(s, cfg.dt, table8, params8)
+            assert np.array_equal(traj.a[i], s.a) and np.array_equal(traj.b[i], s.b)
+
+    def test_one_kernel_call_per_step(self, table, params, monkeypatch):
+        from kgorbit import integrators
+        kernel = integrators._project_power_raw
+        calls = []
+
+        def counted(a, exponent, table):
+            calls.append(len(a))
+            return kernel(a, exponent, table)
+
+        monkeypatch.setattr(integrators, "_project_power_raw", counted)
+        for scheme, per_run in (("split2", 50 + 1), ("rk4", 4 * 50)):
+            calls.clear()
+            cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=0.5, sample_stride=7)
+            evolve(planar(table, 0.1), cfg, table, params)
+            assert len(calls) == per_run, scheme
+
+    def test_member_leaving_keeps_forces_aligned(self, table8, params8):
+        # the middle member leaves the stack first, so the carried force
+        # must drop its row, not the last one
+        starts = [self._start(table8, eta, seed)
+                  for eta, seed in ((0.1, 1), (0.05, 2), (0.2, 3))]
+        cfgs = [StepperConfig(dt=1e-2, scheme="split2", max_time=T, sample_stride=5)
+                for T in (4.0, 1.5, 4.0)]
+        stacked = evolve_ensemble(starts, cfgs, table8, params8)
+        for s0, cfg, got in zip(starts, cfgs, stacked):
+            ref = evolve(s0, cfg, table8, params8)
+            assert np.array_equal(got.times, ref.times)
+            assert np.abs(got.a - ref.a).max() <= 1e-12
+            assert np.abs(got.b - ref.b).max() <= 1e-12

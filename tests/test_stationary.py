@@ -237,6 +237,130 @@ class TestDistToOrbit:
         assert d > 0
 
 
+def scalar_invert_potential(y, params, branch):
+    """Reference inversion of f on one branch: one brentq solve per level."""
+    from scipy.optimize import brentq
+    f_min = potential_f(params.center, params)
+    if y < f_min:
+        raise ProjectionUndefined(f"level {y!r} below the potential minimum {f_min!r}")
+    if branch == "low":
+        if y > 0.0:
+            raise ProjectionUndefined(f"level {y!r} above f(0) = 0 on the low branch")
+        lo, hi = 0.0, params.center
+    else:
+        lo, hi = params.center, params.separatrix_amplitude
+        while potential_f(hi, params) < y:
+            hi *= 2.0
+    if y == f_min:
+        return params.center
+    return float(brentq(lambda x: potential_f(x, params) - y, lo, hi,
+                        xtol=1e-15, rtol=8.9e-16))
+
+
+def scalar_project_to_orbit(s, eta, band, params):
+    """Reference projection of one planar point onto the level set."""
+    level = potential_f(eta, params)
+    if band.delta <= s.a0 <= band.delta_prime:
+        gap = level - potential_f(s.a0, params)
+        if gap < 0.0:
+            if gap < -1e-14:
+                raise ProjectionUndefined("no real velocity")
+            gap = 0.0
+        b = np.sqrt(gap)
+        return PlanarState(s.a0, float(b if s.b0 >= 0 else -b))
+    branch = "low" if s.a0 < band.delta else "high"
+    return PlanarState(scalar_invert_potential(level - s.b0 ** 2, params, branch), s.b0)
+
+
+def scalar_dist_to_orbit(s, eta, band, table, params, orbit=None):
+    """Reference distance of one state: one projection per call, dense
+    loop samples when it is undefined.  Returns (value, path)."""
+    a0, b0 = float(s.a[0]), float(s.b[0])
+    high_a = float(np.sum((1.0 + table.lam_sq[1:]) * s.a[1:] ** 2))
+    high_b = float(np.sum(s.b[1:] ** 2))
+    try:
+        proj = scalar_project_to_orbit(PlanarState(a0, b0), eta, band, params)
+        return (float(np.sqrt((a0 - proj.a0) ** 2 + high_a)
+                      + np.sqrt((b0 - proj.b0) ** 2 + high_b)), "projection")
+    except ProjectionUndefined:
+        if orbit is None:
+            orbit = sample_orbit(eta, 4096, params)
+        dists = (np.sqrt((a0 - orbit.a0) ** 2 + high_a)
+                 + np.sqrt((b0 - orbit.b0) ** 2 + high_b))
+        return float(dists.min()), "samples"
+
+
+class TestStackedDistance:
+    """The stacked dist_to_orbit against the scalar brentq reference."""
+
+    # (a0, b0) rows: low branch, in band with both signs of b0, high
+    # branch, and a low-branch row too fast for the level set (samples)
+    PLANAR = [(0.08, 1e-3), (0.12, -2e-3), (0.02, 0.0), (0.3, 1e-2), (0.45, -1e-2),
+              (0.6, 0.0), (0.68, 5e-3), (0.72, -5e-3), (0.9, 1e-2), (0.1, 0.2)]
+
+    @staticmethod
+    def _stack(planar, table, rng):
+        """Rows (a0, b0) of ``planar`` with small random high modes."""
+        a = 1e-3 * rng.standard_normal((len(planar), table.mode_count))
+        b = 1e-3 * rng.standard_normal((len(planar), table.mode_count))
+        a[:, 0], b[:, 0] = np.array(planar).T
+        return State(a, b)
+
+    def test_rows_match_scalar_reference(self, table, params, rng):
+        band = default_band(params)
+        orbit = sample_orbit(0.1, 4096, params)
+        s = self._stack(self.PLANAR, table, rng)
+        d, path = dist_to_orbit(s, 0.1, band, table, params, orbit=orbit, with_path=True)
+        assert d.shape == path.shape == (len(self.PLANAR),)
+        for i in range(len(self.PLANAR)):
+            row = State(s.a[i], s.b[i])
+            ref, ref_path = scalar_dist_to_orbit(row, 0.1, band, table, params, orbit)
+            assert path[i] == ref_path
+            assert abs(d[i] - ref) <= 1e-14
+            # the one-state call is the one-row case of the stack
+            assert dist_to_orbit(row, 0.1, band, table, params, orbit=orbit) == d[i]
+        assert list(path).count("samples") == 1
+
+    def test_p2_rows_match_scalar_reference(self, rng):
+        from kgorbit import ModelParams, build_spectrum
+        p2 = ModelParams(m=0.5, p=2, dim=1, cutoff=4)
+        t2 = build_spectrum(p2)
+        band = default_band(p2)
+        # center 0.707, band [0.354, 0.803]: both branches and the band
+        planar = [(0.2, 1e-2), (0.5, -1e-2), (0.85, 2e-2), (0.95, -2e-2)]
+        s = self._stack(planar, t2, rng)
+        d = dist_to_orbit(s, 0.3, band, t2, p2)
+        for i in range(len(planar)):
+            ref, path = scalar_dist_to_orbit(State(s.a[i], s.b[i]), 0.3, band, t2, p2)
+            assert path == "projection"
+            assert abs(d[i] - ref) <= 1e-14
+        levels = potential_f(np.array([0.2, 0.5, 0.8, 0.9, 1.2]), p2)
+        for branch, ys in (("low", levels[:2]), ("high", levels[2:])):
+            got = invert_potential(ys, p2, branch)
+            for y, x in zip(ys, got):
+                assert abs(x - scalar_invert_potential(y, p2, branch)) <= 1e-14
+
+    def test_p1_closed_form(self, params):
+        # f(x) = y has x^2 = m^2 -+ sqrt(m^4 + 2y) for p = 1; the low root
+        # is written without cancellation
+        m2 = params.m ** 2
+        for branch, xs in (("low", np.linspace(0.01, 0.6, 40)),
+                           ("high", np.linspace(0.8, 3.0, 40))):
+            y = potential_f(xs, params)
+            disc = np.sqrt(m2 * m2 + 2.0 * y)
+            exact = np.sqrt(-2.0 * y / (m2 + disc)) if branch == "low" else np.sqrt(m2 + disc)
+            got = invert_potential(y, params, branch)
+            assert np.all(np.abs(got - exact) <= 1e-14 * exact)
+
+    def test_out_of_range_levels(self, params):
+        f_min = potential_f(params.center, params)
+        with pytest.raises(ProjectionUndefined):
+            invert_potential(np.array([-0.01, 1e-3]), params, "low")
+        with pytest.raises(ProjectionUndefined):
+            invert_potential(np.array([f_min - 1e-3]), params, "high")
+        assert invert_potential(f_min, params, "high") == params.center
+
+
 def joint_rk4_monodromy(orbit, lambda_n, params, dt, potential=None):
     """Reference monodromy: classical RK4 on the joint 6-component system
     (a0, b0, x11, x21, x12, x22), loop and fundamental matrix together."""
