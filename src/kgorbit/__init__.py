@@ -19,7 +19,7 @@ from .hamiltonian import (EnergyBreakdown, State, dist_x, energy_breakdown,
                           potential_f, q_vector, rhs, xnorm)
 from .integrators import (SectionSpec, StepperConfig, Trajectory, evolve,
                           evolve_ensemble, refine_crossing, rk4_step, split2_step)
-from .stationary import (DeltaBand, Monodromy, PeriodicOrbit, PlanarState,
+from .stationary import (DeltaBand, Loop, Monodromy, PeriodicOrbit, PlanarState,
                          default_band, delta_band, dist_to_orbit, floquet,
                          homoclinic, invert_potential, period,
                          project_to_orbit, sample_orbit, turning_point)

@@ -21,10 +21,14 @@ its (eta, seed) members as one ensemble, stacked in config order, so the
 batch layout depends on the config alone; a member that finds no return
 or blows up gets an ``error`` record (type, message) in its JSON run and
 NaN fields in its CSV row, the fit uses the other members, and the sweep
-exits 2.  A floquet sweep makes one loop pass per eta for all its
-lambdas.  Every stochastic perturbation requires an explicit seed; all
-outputs are reproducible from (config, seed).  CSV files carry a header
-row, '.' decimal separator, LF line endings and 17 significant digits.
+exits 2; each successful JSON run counts the crossings refinement turned
+down, by reason (``rejected_crossings``).  A floquet sweep reads only
+(eta, T) of each loop, T from the period quadrature, with no loop
+samples, and makes one loop pass per eta for all its lambdas (see
+``stationary.floquet``).  Every stochastic perturbation requires an
+explicit seed; all outputs are reproducible from (config, seed).  CSV
+files carry a header row, '.' decimal separator, LF line endings and 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, linear_fit,
 from .hamiltonian import energy_breakdown
 from .integrators import StepperConfig, evolve
 from .spectra import ModelParams, build_spectrum, check_mass_gap
-from .stationary import (check_mode_eigenvalues, delta_band, default_band, floquet,
-                         period, sample_orbit)
+from .stationary import (Loop, check_mode_eigenvalues, delta_band, default_band,
+                         floquet, period)
 
 SCHEMA_VERSION = 1
 
@@ -387,7 +391,8 @@ def _run_first_return(cfg: RunConfig, table, out: dict):
         ratio = res.J_at_return / j0 if j0 > 0 else None
         runs.append({"eta": eta, "seed": seed, "return_time": res.return_time,
                      "distance": res.distance, "J0": j0,
-                     "J_at_return": res.J_at_return, "growth": ratio})
+                     "J_at_return": res.J_at_return, "growth": ratio,
+                     "rejected_crossings": dict(res.trajectory.rejected)})
     done = [r for r in runs if "error" not in r]
     failed = len(runs) - len(done)
 
@@ -451,8 +456,8 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
     records = []
     for eta in ex.eta_list:
-        orbit = sample_orbit(eta, 64, cfg.model)
-        for mono in floquet(orbit, ex.lambdas, cfg.model, dt=cfg.stepper.dt):
+        loop = Loop(eta, period(eta, cfg.model))
+        for mono in floquet(loop, ex.lambdas, cfg.model, dt=cfg.stepper.dt):
             records.append({
                 "eta": eta, "lambda": mono.mode_eigenvalue, "det": mono.determinant,
                 "trace": mono.trace, "classification": mono.classification,

@@ -92,9 +92,20 @@ def f_prime(x: float, params: ModelParams):
     return 2.0 * (x ** (2 * params.p + 1) - params.m ** 2 * x)
 
 
+def _bound_force(params: ModelParams):
+    """The planar force with ``params`` bound once: a callable
+    x -> m^2 x - x^(2p+1) whose constants are closure values, for loops
+    that evaluate it hundreds of thousands of times."""
+    m2, n = params.m ** 2, 2 * params.p + 1
+
+    def bound(x):
+        return m2 * x - x ** n
+    return bound
+
+
 def force(x: float, params: ModelParams):
     """Planar restoring force m^2 x - x^(2p+1): db0/dt = force(a0) - q0."""
-    return params.m ** 2 * x - x ** (2 * params.p + 1)
+    return _bound_force(params)(x)
 
 
 def _energy(s: State, g: np.ndarray, table: SpectrumTable,

@@ -26,11 +26,11 @@ from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 from .errors import OutOfRange, ProjectionUndefined
-from .hamiltonian import State, force, potential_f
+from .hamiltonian import State, _bound_force, force, potential_f
 from .spectra import ModelParams, SpectrumTable
 
 __all__ = [
-    "PlanarState", "PeriodicOrbit", "DeltaBand", "Monodromy",
+    "PlanarState", "Loop", "PeriodicOrbit", "DeltaBand", "Monodromy",
     "homoclinic", "turning_point", "period", "sample_orbit", "delta_band",
     "default_band", "invert_potential", "project_to_orbit", "dist_to_orbit",
     "check_mode_eigenvalues", "floquet",
@@ -76,12 +76,19 @@ class Monodromy:
 
 
 @dataclass(frozen=True)
-class PeriodicOrbit:
-    """One loop of the planar family: turning points, period, dense samples."""
+class Loop:
+    """One loop of the planar family by its turning point (eta, 0) and
+    period: all that ``floquet`` reads."""
 
     eta: float
-    eta_prime: float
     period: float
+
+
+@dataclass(frozen=True)
+class PeriodicOrbit(Loop):
+    """A loop with its far turning point and dense samples."""
+
+    eta_prime: float
     times: np.ndarray = field(repr=False)
     a0: np.ndarray = field(repr=False)
     b0: np.ndarray = field(repr=False)
@@ -353,57 +360,55 @@ def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:
 
 def _step_propagators(c1, c2, c3, c4, h):
     """RK4 step matrix S of x' = [[0, 1], [c, 0]] x from its four stage
-    coefficients, elementwise, returned as S - I in components (11, 12,
-    21, 22).  Products are carried as offsets from the identity so that
-    rounding scales with the O(h) entries, not with 1."""
+    coefficients ((n, modes) arrays), returned as S - I stacked
+    (n, modes, 2, 2).  Products are carried as offsets from the identity
+    so that rounding scales with the O(h) entries, not with 1:
+    (I + L)(I + E) - I = L + E + L @ E."""
     q = h * h
-    return (q / 6.0 * (c1 + c2 + c3) + q * q / 24.0 * c1 * c3,
-            h + h * q / 12.0 * (c2 + c3),
-            h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
-            + h * q / 12.0 * (c1 * c3 + c2 * c4),
-            q / 6.0 * (c2 + c3 + c4) + q * q / 24.0 * c2 * c4)
-
-
-def _mul(late, early):
-    """(I + late) @ (I + early) - I on component tuples (11, 12, 21, 22)."""
-    l11, l12, l21, l22 = late
-    e11, e12, e21, e22 = early
-    return (l11 + e11 + (l11 * e11 + l12 * e21), l12 + e12 + (l11 * e12 + l12 * e22),
-            l21 + e21 + (l21 * e11 + l22 * e21), l22 + e22 + (l21 * e12 + l22 * e22))
+    s = np.empty(c1.shape + (2, 2))
+    s[..., 0, 0] = q / 6.0 * (c1 + c2 + c3) + q * q / 24.0 * c1 * c3
+    s[..., 0, 1] = h + h * q / 12.0 * (c2 + c3)
+    s[..., 1, 0] = (h / 6.0 * (c1 + 2.0 * c2 + 2.0 * c3 + c4)
+                    + h * q / 12.0 * (c1 * c3 + c2 * c4))
+    s[..., 1, 1] = q / 6.0 * (c2 + c3 + c4) + q * q / 24.0 * c2 * c4
+    return s
 
 
 def _tree_product(s):
-    """Product S_(n-1) ... S_0 by pairwise reduction, in the offset
-    components of ``_step_propagators`` ((n, modes) arrays, rows in time
-    order); returns (modes,) arrays."""
-    while len(s[0]) > 1:
-        n = len(s[0]) // 2 * 2
-        paired = _mul([x[1:n:2] for x in s], [x[0:n:2] for x in s])
-        if n < len(s[0]):
-            paired = [np.concatenate((x, y[n:])) for x, y in zip(paired, s)]
-        s = paired
-    return tuple(x[0] for x in s)
+    """Product S_(n-1) ... S_0 of stacked offsets from ``_step_propagators``
+    (rows in time order) by pairwise reduction; returns (modes, 2, 2)."""
+    while len(s) > 1:
+        n = len(s) // 2 * 2
+        late, early = s[1:n:2], s[0:n:2]
+        paired = late + early + late @ early
+        s = np.concatenate((paired, s[n:])) if n < len(s) else paired
+    return s[0]
 
 
-def floquet(orbit: PeriodicOrbit, lambda_n, params: ModelParams,
+def floquet(orbit: Loop, lambda_n, params: ModelParams,
             dt: float = 1e-3, potential=None):
     """Monodromy of driven modes, da = b, db = -(lambda_n^2 - m^2) a - V(t) a,
     over one loop period with V(t) = (2p+1) a0(t)^(2p).
 
+    ``orbit`` is read for its ``eta`` and ``period`` only: a ``Loop``
+    serves, and a sampled ``PeriodicOrbit`` gives the same result.
     ``lambda_n`` is one eigenvalue (returns a Monodromy) or a sequence
     (returns a list of Monodromy in the same order); all modes share one
     pass over the loop.  That planar pass re-integrates the loop from
-    (eta, 0) by scalar fixed-step RK4 with n = max(16, ceil(T/dt)) steps
-    and records the four stage values of a0 (and the stage times) one
-    block of steps at a time.  The loop is re-integrated rather than
-    interpolated from stored samples, because interpolation error would
-    pollute the determinant-1 identity; halving dt must leave the
-    multipliers unchanged to rounding.  For each block the exact RK4 step
-    matrix of every mode's linear system is built from the stage
-    coefficients, the block's matrices are multiplied by pairwise
-    reduction, and the result is folded into the running product in time
-    order, so the working memory does not grow with T/dt.  This equals
-    RK4 on the joint planar-plus-fundamental system up to rounding.
+    (eta, 0) by scalar fixed-step RK4 with n = max(16, ceil(T/dt)) steps,
+    with the planar force bound to ``params`` once per call, and records
+    the four stage values of a0 (and the stage times) one block of steps
+    at a time.  The loop is re-integrated rather than interpolated from
+    stored samples, because interpolation error would pollute the
+    determinant-1 identity; halving dt must leave the multipliers
+    unchanged to rounding.  For each block the exact RK4 step matrix of
+    every mode's linear system is built from the stage coefficients as a
+    stacked (steps, modes, 2, 2) offset from the identity; the block is
+    multiplied by pairwise reduction, one ``L + E + L @ E`` (matmul over
+    the stack) per tree level, and folded into the running product in
+    time order the same way, so the working memory does not grow with
+    T/dt.  This equals RK4 on the joint planar-plus-fundamental system up
+    to rounding.
     Passing ``potential`` (a callable of t) replaces the loop-driven V,
     e.g. ``lambda t: 0.0`` for the constant-coefficient check.
     """
@@ -415,7 +420,8 @@ def floquet(orbit: PeriodicOrbit, lambda_n, params: ModelParams,
     n_steps = max(16, int(np.ceil(T / dt)))
     h = T / n_steps
     hh, h6 = 0.5 * h, h / 6.0
-    total = (np.zeros_like(w2),) * 4
+    f = _bound_force(params)
+    total = np.zeros((len(w2), 2, 2))
 
     def block_product(record):
         t, a1, a2, a3, a4 = np.array(record).reshape(-1, 5).T
@@ -429,23 +435,23 @@ def floquet(orbit: PeriodicOrbit, lambda_n, params: ModelParams,
     for first in range(0, n_steps, _FLOQUET_BLOCK):
         record = []
         for _ in range(min(_FLOQUET_BLOCK, n_steps - first)):
-            f1 = force(a, params)
+            f1 = f(a)
             a2, b2 = a + hh * b, b + hh * f1
-            f2 = force(a2, params)
+            f2 = f(a2)
             a3, b3 = a + hh * b2, b + hh * f2
-            f3 = force(a3, params)
+            f3 = f(a3)
             a4, b4 = a + h * b3, b + h * f3
-            f4 = force(a4, params)
+            f4 = f(a4)
             record += (t, a, a2, a3, a4)
             a = a + h6 * (b + 2 * b2 + 2 * b3 + b4)
             b = b + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
             t += h
-        total = _mul(block_product(record), total)
+        block = block_product(record)
+        total = block + total + block @ total
 
     monos = []
     for k, lam in enumerate(lambdas):
-        matrix = np.array([[1.0 + total[0][k], total[1][k]],
-                           [total[2][k], 1.0 + total[3][k]]])
+        matrix = np.eye(2) + total[k]
         mults = np.linalg.eigvals(matrix)
         mults = tuple(sorted((complex(m) for m in mults), key=lambda z: (z.real, z.imag)))
         monos.append(Monodromy(matrix=matrix, multipliers=mults, mode_eigenvalue=lam))

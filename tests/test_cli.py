@@ -150,6 +150,24 @@ class TestRun:
             assert rec["classification"] == mono.classification
             assert abs(rec["det"] - 1.0) < 1e-8
 
+    def test_floquet_builds_no_loop_samples(self, tmp_path, monkeypatch):
+        import kgorbit.cli as cli
+        import kgorbit.stationary as stationary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the floquet sweep built loop samples")
+        monkeypatch.setattr(stationary, "sample_orbit", refuse)
+        monkeypatch.setattr(stationary, "solve_ivp", refuse)
+        monkeypatch.setattr(cli, "sample_orbit", refuse, raising=False)
+        text = MINIMAL.replace(
+            "kind = simulate\neta = 0.1",
+            "kind = floquet\neta_list = 0.1,0.05\nlambdas = 6.283185307179586")
+        cfg = parse_config(text)
+        cfg.output_dir = str(tmp_path)
+        assert run(cfg) == 0
+        records = json.loads((tmp_path / "floquet.json").read_text())["records"]
+        assert [r["eta"] for r in records] == [0.1, 0.05]
+
     def test_stability_report(self, tmp_path):
         text = MINIMAL.replace(
             "kind = simulate\neta = 0.1",
@@ -246,6 +264,21 @@ class TestFirstReturnSweep:
                             for f in ("first-return.csv", "first-return.json")})
         assert outputs[0] == outputs[1]
         assert b"error" not in outputs[0]["first-return.json"]
+
+    def test_rejected_crossings_reported(self, tmp_path):
+        cfg = parse_config(FIRST_RETURN.replace(
+            "eta_list = 0.1,0.05,0.02,0.01\nseeds = 1,2", "eta_list = 0.1,0.05\nseeds = 1"))
+        cfg.output_dir = str(tmp_path)
+        assert run(cfg) == 0
+        runs = json.loads((tmp_path / "first-return.json").read_text())["runs"]
+        assert len(runs) == 2
+        for r in runs:
+            rejected = r["rejected_crossings"]
+            assert set(rejected) == {"sign_constraint", "stalled", "no_sign_change"}
+            # the far turning point (eta', 0) crosses b0 = 0 on the wrong side
+            assert rejected["sign_constraint"] >= 1
+        header = (tmp_path / "first-return.csv").read_text().splitlines()[0]
+        assert header == "eta,seed,return_time,distance,J0,J_at_return"
 
 
 class TestMain:

@@ -3,11 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ellipkm1
 
-from kgorbit import (OutOfRange, PlanarState, ProjectionUndefined, State,
+from kgorbit import (Loop, OutOfRange, PlanarState, ProjectionUndefined, State,
                      default_band, delta_band, dist_to_orbit, floquet, force,
                      homoclinic, invert_potential, period, potential_f,
                      project_to_orbit, sample_orbit, turning_point)
+
+M = 0.5  # the mass of the params fixture
 
 
 class TestHomoclinic:
@@ -89,6 +94,17 @@ class TestPeriod:
     def test_out_of_range(self, params):
         with pytest.raises(OutOfRange):
             period(0.6, params)
+
+    def test_p1_elliptic_integral_oracle(self, params):
+        # for p = 1 the loop is eta' dn(beta (t - T/2), k) with
+        # eta^2 + eta'^2 = 2 m^2, beta = eta'/sqrt(2) and k'^2 = (eta/eta')^2,
+        # so T = 2 K(k) / beta; ellipkm1 takes k'^2 itself and keeps the
+        # digits that ellipk(1 - k'^2) loses as k' -> 0
+        assert params.p == 1
+        for eta in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            eta_p = math.sqrt(2.0 * params.m ** 2 - eta ** 2)
+            expect = 2.0 * ellipkm1((eta / eta_p) ** 2) / (eta_p / math.sqrt(2.0))
+            assert period(eta, params) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestSampleOrbit:
@@ -443,6 +459,21 @@ class TestFloquet:
                           and abs(m1 * m2 - 1.0) < 1e-8)
             assert unit_pair or real_recip
             assert mono.classification in ("elliptic", "hyperbolic")
+
+    # For p = 1 the driven-mode equation is Lame's equation with n = 2,
+    # y'' + (h - 6 k^2 sn^2 u) y = 0, h = (lambda^2 - m^2)/beta^2 + 6.  Its
+    # only instability intervals lie below the band edge
+    # 2(1 + k^2) + 2 sqrt(1 - k^2 + k^4) <= 6 < h, so every monodromy is
+    # elliptic.  The closed gaps above touch |trace| = 2, hence the
+    # tolerance: the suite's |det - 1| bound on the RK4 monodromy.
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(eta=st.floats(1e-3, 0.45, exclude_max=True),
+           lams=st.lists(st.floats(M, 4 * math.pi, exclude_min=True),
+                         min_size=1, max_size=4))
+    def test_p1_driven_modes_elliptic(self, params, eta, lams):
+        assert params.p == 1 and params.m == M
+        for mono in floquet(Loop(eta, period(eta, params)), lams, params, dt=1e-3):
+            assert abs(mono.trace) <= 2.0 + 1e-8
 
     def test_requires_lambda_above_mass(self, params):
         orbit = sample_orbit(0.1, 64, params)
