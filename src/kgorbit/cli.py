@@ -44,13 +44,13 @@ import numpy as np
 
 from .errors import KgError, AssumptionViolated, OutOfRange, ParseError, ValidationError
 from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, linear_fit,
-                          perturb_near_orbit, power_law_fit, run_first_returns,
-                          run_many_loops)
+                          period_scaling_sweep, perturb_near_orbit, power_law_fit,
+                          run_first_returns, run_many_loops)
 from .hamiltonian import energy_breakdown
 from .integrators import StepperConfig, evolve
 from .spectra import ModelParams, build_spectrum, check_mass_gap
-from .stationary import (Loop, check_mode_eigenvalues, delta_band, default_band,
-                         floquet, period)
+from .stationary import (Loop, check_eta, check_mode_eigenvalues, delta_band,
+                         default_band, floquet, period)
 
 SCHEMA_VERSION = 1
 
@@ -222,18 +222,25 @@ def _validate(values: dict) -> RunConfig:
             "random_direction perturbations require an explicit seed "
             "(reproducibility is a contract, there is no default)")
     single = (experiment.eta,) if experiment.eta is not None else ()
-    for e in (experiment.eta_list or ()) + single:
-        if not (0.0 < e < params.center):
-            raise ValidationError(
-                f"eta = {e} must lie in (0, m^(1/p)) = (0, {params.center:.6g})")
+    try:
+        for e in (experiment.eta_list or ()) + single:
+            check_eta(e, params)
+    except OutOfRange as exc:
+        raise ValidationError(str(exc)) from exc
 
     out = values["output"]
-    formats = tuple(out.get("formats", ("csv", "json")))
+    return RunConfig(model=params, stepper=stepper, experiment=experiment,
+                     output_dir=out.get("directory", "."),
+                     formats=_check_formats(out.get("formats", ("csv", "json"))))
+
+
+def _check_formats(formats) -> tuple[str, ...]:
+    """The output formats as a tuple; ValidationError for any but csv and json."""
+    formats = tuple(formats)
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ValidationError(f"unknown output format {fmt!r}")
-    return RunConfig(model=params, stepper=stepper, experiment=experiment,
-                     output_dir=out.get("directory", "."), formats=formats)
+    return formats
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -360,15 +367,9 @@ def _run_simulate(cfg: RunConfig, table, out: dict):
 
 
 def _run_period_sweep(cfg: RunConfig, table, out: dict):
-    etas = list(cfg.experiment.eta_list)
-    periods = [period(e, cfg.model) for e in etas]
-    fit = linear_fit(np.log(1.0 / np.array(etas)), periods)
-    out["csv"] = (["eta", "period"], list(zip(etas, periods)))
-    out["json"] = {
-        "experiment": "period-sweep", "etas": etas, "periods": periods,
-        "A": fit["slope"], "B": fit["intercept"], "r_squared": fit["r_squared"],
-        "anomaly": False,
-    }
+    sweep = period_scaling_sweep(cfg.experiment.eta_list, cfg.model)
+    out["csv"] = (["eta", "period"], list(zip(sweep["etas"], sweep["periods"])))
+    out["json"] = {"experiment": "period-sweep", **sweep, "anomaly": False}
     return 0
 
 
@@ -548,11 +549,7 @@ def main(argv=None) -> int:
                     "remove one of the two")
             cfg.experiment.seed = args.seed
         if args.formats:
-            formats = tuple(f.strip() for f in args.formats.split(","))
-            for fmt in formats:
-                if fmt not in ("csv", "json"):
-                    raise ValidationError(f"unknown output format {fmt!r}")
-            cfg.formats = formats
+            cfg.formats = _check_formats(f.strip() for f in args.formats.split(","))
     except OSError as exc:
         print(json.dumps({"schema_version": SCHEMA_VERSION,
                           "error": {"type": "IOError", "message": str(exc)}}))

@@ -28,8 +28,8 @@ from .hamiltonian import (State, _phi, dist_x, energy_breakdown, i_j_equivalence
                           potential_f)
 from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
 from .spectra import ModelParams, SpectrumTable
-from .stationary import (DeltaBand, PeriodicOrbit, PlanarState, dist_to_orbit,
-                         invert_potential, period, sample_orbit)
+from .stationary import (DeltaBand, PlanarState, dist_to_orbit, invert_potential,
+                         period)
 
 __all__ = [
     "PerturbationSpec", "FirstReturnResult", "LoopRecord", "StabilityReport",
@@ -294,8 +294,6 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     max_abs_a0 = abs(float(s0.a[0]))
     prev_J = bd0.J
     regime_exited_at = None
-    # dense samples only back the fallback path of dist_to_orbit; built once
-    orbit_cache: PeriodicOrbit = sample_orbit(eta, 4096, params)
 
     for k in range(loop_budget):
         try:
@@ -313,9 +311,9 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         j_all.append(j_vals[keep])
         loop_max_j = float(j_vals.max())
         max_dist = max(max_dist, float(dist_to_orbit(
-            State(traj.a, traj.b), eta, band, table, params, orbit=orbit_cache).max()))
+            State(traj.a, traj.b), eta, band, table, params).max()))
         max_abs_a0 = max(max_abs_a0, float(np.abs(traj.a[:, 0]).max()))
-        d_ret = dist_to_orbit(res.state, eta, band, table, params, orbit=orbit_cache)
+        d_ret = dist_to_orbit(res.state, eta, band, table, params)
         max_dist = max(max_dist, d_ret)
         records.append(LoopRecord(
             index=k, eta_used=current_eta, return_time=res.return_time,

@@ -14,7 +14,10 @@ and every eta in (0, m^(1/p)) selects a periodic loop through (eta, 0)
 inside the separatrix.  Its period diverges like (2/m) ln(1/eta) as the
 loop approaches the saddle.  This module provides the closed forms, the
 period as a singularity-free quadrature, level-set projection/distance,
-and Floquet monodromies of nonconstant modes driven by the loop.
+and Floquet monodromies of nonconstant modes driven by the loop.  One
+scalar RK4 pass (``_planar_rk4``) integrates the planar system for both
+the monodromies and the loop samples; one bisection (``invert_potential``)
+finds the turning point and every projection.
 """
 
 from __future__ import annotations
@@ -22,18 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from scipy.integrate import quad
 
 from .errors import OutOfRange, ProjectionUndefined
-from .hamiltonian import State, _bound_force, force, potential_f
+from .hamiltonian import State, _bound_force, potential_f
 from .spectra import ModelParams, SpectrumTable
 
 __all__ = [
     "PlanarState", "Loop", "PeriodicOrbit", "DeltaBand", "Monodromy",
     "homoclinic", "turning_point", "period", "sample_orbit", "delta_band",
     "default_band", "invert_potential", "project_to_orbit", "dist_to_orbit",
-    "check_mode_eigenvalues", "floquet",
+    "check_eta", "check_mode_eigenvalues", "floquet",
 ]
 
 
@@ -105,20 +107,18 @@ def homoclinic(t: float, params: ModelParams) -> PlanarState:
     return PlanarState(float(a0), float(b0))
 
 
-def _check_eta(eta: float, params: ModelParams) -> None:
+def check_eta(eta: float, params: ModelParams) -> None:
+    """Raise OutOfRange unless 0 < eta < m^(1/p), the loop family's range."""
     if not (0.0 < eta < params.center):
-        raise OutOfRange(
-            f"eta must lie in (0, {params.center:.6g}), got {eta!r}")
+        raise OutOfRange(f"{eta!r} must lie in (0, m^(1/p)) = (0, {params.center:.6g}): "
+                         "eta and delta are near turning points of the loop family")
 
 
 def turning_point(eta: float, params: ModelParams) -> float:
     """The conjugate turning point: unique root of f(x) = f(eta) in
-    (m^(1/p), (p+1)^(1/2p) m^(1/p))."""
-    _check_eta(eta, params)
-    level = potential_f(eta, params)
-    lo, hi = params.center, params.separatrix_amplitude
-    return float(brentq(lambda x: potential_f(x, params) - level, lo, hi,
-                        xtol=1e-15, rtol=8.9e-16))
+    (m^(1/p), (p+1)^(1/2p) m^(1/p)), on the high branch of ``invert_potential``."""
+    check_eta(eta, params)
+    return invert_potential(potential_f(eta, params), params, "high")
 
 
 def _w_factor(alpha: float, eta: float, eta_prime: float, params: ModelParams) -> float:
@@ -144,7 +144,6 @@ def period(eta: float, params: ModelParams) -> float:
     saddle layer) and alpha = eta' - s^2 (right) make each half-integrand
     analytic, so the absolute error is far below 1e-9.
     """
-    _check_eta(eta, params)
     eta_p = turning_point(eta, params)
     x_mid = params.center
 
@@ -165,35 +164,59 @@ def period(eta: float, params: ModelParams) -> float:
     return 2.0 * (t_left + t_right)
 
 
-def _planar_ivp(t, y, params):
-    return (y[1], force(y[0], params))
+_RK4_BLOCK = 1024  # steps per block: bounds memory, amortises numpy calls
 
 
-def sample_orbit(eta: float, n_samples: int, params: ModelParams,
-                 rtol: float = 1e-12, atol: float = 1e-14) -> PeriodicOrbit:
-    """Integrate one loop from (eta, 0) and store equal-time samples
-    (endpoints included, so times run 0..T over n_samples intervals)."""
-    _check_eta(eta, params)
+def _planar_rk4(eta: float, T: float, n_steps: int, params: ModelParams):
+    """Scalar fixed-step RK4 from (eta, 0): n_steps steps of h = T/n_steps.
+    Yields blocks of at most _RK4_BLOCK steps as ``(rows, (a, b))``: rows
+    (6, steps) hold each step's start t, a, b and a at stages 2-4, and
+    (a, b) is the state after the block's last step."""
+    h = T / n_steps
+    hh, h6 = 0.5 * h, h / 6.0
+    f = _bound_force(params)
+    a, b, t = float(eta), 0.0, 0.0
+    for first in range(0, n_steps, _RK4_BLOCK):
+        record = []
+        for _ in range(min(_RK4_BLOCK, n_steps - first)):
+            f1 = f(a)
+            a2, b2 = a + hh * b, b + hh * f1
+            f2 = f(a2)
+            a3, b3 = a + hh * b2, b + hh * f2
+            f3 = f(a3)
+            a4, b4 = a + h * b3, b + h * f3
+            f4 = f(a4)
+            record += (t, a, b, a2, a3, a4)
+            a = a + h6 * (b + 2 * b2 + 2 * b3 + b4)
+            b = b + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
+            t += h
+        yield np.array(record).reshape(-1, 6).T, (a, b)
+
+
+def sample_orbit(eta: float, n_samples: int, params: ModelParams) -> PeriodicOrbit:
+    """Equal-time samples of one loop from (eta, 0), times 0..T over
+    n_samples intervals: every stride-th step start of the ``floquet``
+    planar RK4 pass with steps h = T/(n_samples stride) <= 1e-3, and its
+    end state at T.  For p = 1 and n_samples = 4096 they match the closed
+    form eta' dn(beta (t - T/2), k) to 5e-14 for eta >= 0.01 and to 9e-13
+    at eta = 1e-3."""
     if n_samples < 16:
         raise OutOfRange(f"n_samples must be >= 16, got {n_samples}")
     T = period(eta, params)
-    t_eval = np.linspace(0.0, T, n_samples + 1)
-    sol = solve_ivp(_planar_ivp, (0.0, T), [eta, 0.0], t_eval=t_eval,
-                    rtol=rtol, atol=atol, method="DOP853", args=(params,))
-    if not sol.success:
-        raise RuntimeError(f"loop integration failed: {sol.message}")
+    stride = int(np.ceil(T / (n_samples * 1e-3)))
+    blocks = list(_planar_rk4(eta, T, n_samples * stride, params))
+    a0, b0 = np.concatenate([rows[1:3] for rows, _ in blocks], axis=1)[:, ::stride]
+    end_a, end_b = blocks[-1][1]
     return PeriodicOrbit(
         eta=eta, eta_prime=turning_point(eta, params), period=T,
-        times=sol.t, a0=sol.y[0], b0=sol.y[1],
-        energy_level=float(potential_f(eta, params)),
+        times=np.linspace(0.0, T, n_samples + 1), a0=np.append(a0, end_a),
+        b0=np.append(b0, end_b), energy_level=float(potential_f(eta, params)),
     )
 
 
 def delta_band(delta: float, params: ModelParams) -> DeltaBand:
-    """Pair delta with the level-matched delta_prime on the far side."""
-    if not (0.0 < delta < params.center):
-        raise OutOfRange(
-            f"delta must lie in (0, {params.center:.6g}), got {delta!r}")
+    """Pair delta with the level-matched delta_prime on the far side
+    (``turning_point`` of the loop through delta, so ``check_eta`` applies)."""
     return DeltaBand(delta=delta, delta_prime=turning_point(delta, params))
 
 
@@ -202,7 +225,7 @@ def default_band(params: ModelParams) -> DeltaBand:
     return delta_band(0.5 * params.center, params)
 
 
-# Bisection tolerance of invert_potential: brentq's xtol and rtol.
+# Bisection tolerance of invert_potential: absolute and relative bracket width.
 _XTOL, _RTOL = 1e-15, 8.9e-16
 
 
@@ -223,8 +246,8 @@ def invert_potential(y, params: ModelParams, branch: str):
 
     ``y`` is one level (returns a float) or an array of levels (returns
     an array of the same shape).  All levels are solved together by one
-    vectorised bisection on the branch, each bracket narrowed to brentq's
-    tolerance 1e-15 + 8.9e-16 |x| and then finished by one secant step
+    vectorised bisection on the branch, each bracket narrowed to
+    1e-15 + 8.9e-16 |x| and then finished by one secant step
     inside it.  Each level's root depends on that level alone.  Raises
     ProjectionUndefined when any level lies outside the range of f on
     the branch.
@@ -309,14 +332,13 @@ def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
 
 
 def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
-                  params: ModelParams, orbit: PeriodicOrbit | None = None,
-                  with_path: bool = False):
+                  params: ModelParams, with_path: bool = False):
     """Energy-space distance from a full state to the planar loop.
 
     The constant-mode pair is projected onto the level set and the
     distance to that embedded point returned.  Rows whose projection is
-    undefined fall back to the minimum over dense loop samples
-    (``orbit``, built on demand).  ``s`` is one state (returns a float)
+    undefined fall back to the minimum over 4096 loop samples, built on
+    demand.  ``s`` is one state (returns a float)
     or a stack of samples with ``a``/``b`` shaped (S, modes) (returns an
     (S,) array): the one-state call is the one-row case.
     ``with_path=True`` also returns which route produced each value
@@ -335,6 +357,7 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
     except ProjectionUndefined:
         pa, pb, defined = _project(a0, b0, eta, band, params)
     value = np.sqrt((a0 - pa) ** 2 + high_a) + np.sqrt((b0 - pb) ** 2 + high_b)
+    orbit = None
     for r in np.flatnonzero(~defined):
         if orbit is None:
             orbit = sample_orbit(eta, 4096, params)
@@ -344,9 +367,6 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
         return value if stacked else float(value[0])
     path = np.where(defined, "projection", "samples")
     return (value, path) if stacked else (float(value[0]), str(path[0]))
-
-
-_FLOQUET_BLOCK = 1024  # steps per product tree: bounds memory, amortises numpy calls
 
 
 def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:
@@ -394,13 +414,11 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     serves, and a sampled ``PeriodicOrbit`` gives the same result.
     ``lambda_n`` is one eigenvalue (returns a Monodromy) or a sequence
     (returns a list of Monodromy in the same order); all modes share one
-    pass over the loop.  That planar pass re-integrates the loop from
-    (eta, 0) by scalar fixed-step RK4 with n = max(16, ceil(T/dt)) steps,
-    with the planar force bound to ``params`` once per call, and records
-    the four stage values of a0 (and the stage times) one block of steps
-    at a time.  The loop is re-integrated rather than interpolated from
-    stored samples, because interpolation error would pollute the
-    determinant-1 identity; halving dt must leave the multipliers
+    pass over the loop.  That planar pass (``_planar_rk4``) re-integrates
+    the loop from (eta, 0) by scalar fixed-step RK4 with n = max(16,
+    ceil(T/dt)) steps, one block of stage values at a time, rather than
+    interpolating stored samples, because interpolation error would
+    pollute the determinant-1 identity; halving dt must leave the multipliers
     unchanged to rounding.  For each block the exact RK4 step matrix of
     every mode's linear system is built from the stage coefficients as a
     stacked (steps, modes, 2, 2) offset from the identity; the block is
@@ -419,34 +437,15 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     T = orbit.period
     n_steps = max(16, int(np.ceil(T / dt)))
     h = T / n_steps
-    hh, h6 = 0.5 * h, h / 6.0
-    f = _bound_force(params)
+    hh = 0.5 * h
     total = np.zeros((len(w2), 2, 2))
-
-    def block_product(record):
-        t, a1, a2, a3, a4 = np.array(record).reshape(-1, 5).T
+    for rows, _ in _planar_rk4(orbit.eta, T, n_steps, params):
+        t, a1, _, a2, a3, a4 = rows
         if potential is None:
             v = [(2 * params.p + 1) * a ** (2 * params.p) for a in (a1, a2, a3, a4)]
         else:
             v = [np.array([potential(s) for s in ts]) for ts in (t, t + hh, t + hh, t + h)]
-        return _tree_product(_step_propagators(*(-w2 - vi[:, None] for vi in v), h))
-
-    a, b, t = float(orbit.eta), 0.0, 0.0
-    for first in range(0, n_steps, _FLOQUET_BLOCK):
-        record = []
-        for _ in range(min(_FLOQUET_BLOCK, n_steps - first)):
-            f1 = f(a)
-            a2, b2 = a + hh * b, b + hh * f1
-            f2 = f(a2)
-            a3, b3 = a + hh * b2, b + hh * f2
-            f3 = f(a3)
-            a4, b4 = a + h * b3, b + h * f3
-            f4 = f(a4)
-            record += (t, a, a2, a3, a4)
-            a = a + h6 * (b + 2 * b2 + 2 * b3 + b4)
-            b = b + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
-            t += h
-        block = block_product(record)
+        block = _tree_product(_step_propagators(*(-w2 - vi[:, None] for vi in v), h))
         total = block + total + block @ total
 
     monos = []

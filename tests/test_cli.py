@@ -157,7 +157,6 @@ class TestRun:
         def refuse(*args, **kwargs):
             raise AssertionError("the floquet sweep built loop samples")
         monkeypatch.setattr(stationary, "sample_orbit", refuse)
-        monkeypatch.setattr(stationary, "solve_ivp", refuse)
         monkeypatch.setattr(cli, "sample_orbit", refuse, raising=False)
         text = MINIMAL.replace(
             "kind = simulate\neta = 0.1",

@@ -168,6 +168,24 @@ class TestManyLoops:
         assert j_series.max() <= eta ** 5
         assert report.equivalence_bound > 1.0
 
+    def test_chain_builds_no_loop_samples(self, table8, params8, cfg, monkeypatch):
+        # every projection of this chain is defined, so dist_to_orbit needs
+        # no dense loop samples and none may be built
+        import kgorbit.experiments as experiments
+        import kgorbit.stationary as stationary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the chain built loop samples")
+        monkeypatch.setattr(stationary, "sample_orbit", refuse)
+        monkeypatch.setattr(experiments, "sample_orbit", refuse, raising=False)
+        eta = 0.05
+        spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
+                                distribution="random_direction", seed=1)
+        s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+        report = run_many_loops(s0, eta, default_band(params8), 1, cfg, table8, params8)
+        assert report.completed_loops == 1
+        assert report.max_dist_to_orbit > 0
+
     def test_determinism(self, table8, params8, cfg):
         eta = 0.05
         band = default_band(params8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ellipkm1
+from scipy.special import ellipj, ellipkm1
 
 from kgorbit import (Loop, OutOfRange, PlanarState, ProjectionUndefined, State,
                      default_band, delta_band, dist_to_orbit, floquet, force,
@@ -124,6 +124,18 @@ class TestSampleOrbit:
         with pytest.raises(OutOfRange):
             sample_orbit(0.1, 8, params)
 
+    def test_p1_dn_closed_form(self, params):
+        # integrator-free oracle: for p = 1 the loop is eta' dn(beta (t - T/2), k)
+        # with eta^2 + eta'^2 = 2 m^2, beta = eta'/sqrt(2), k'^2 = (eta/eta')^2
+        # (Byrd & Friedman, Handbook of Elliptic Integrals, 121.00)
+        assert params.p == 1
+        for eta in (0.1, 0.01, 0.001):
+            orbit = sample_orbit(eta, 4096, params)
+            eta_p = math.sqrt(2.0 * params.m ** 2 - eta ** 2)
+            beta, kp2 = eta_p / math.sqrt(2.0), (eta / eta_p) ** 2
+            dn = ellipj(beta * (orbit.times - 0.5 * orbit.period), 1.0 - kp2)[2]
+            assert np.abs(orbit.a0 - eta_p * dn).max() <= 1e-12
+
 
 class TestBand:
     def test_example_value(self, params):
@@ -207,12 +219,14 @@ class TestDistToOrbit:
         # turning points it is second-order close to it
         from scipy.integrate import solve_ivp
         from scipy.optimize import minimize_scalar
-        from kgorbit.stationary import _planar_ivp
+
+        def planar(t, y):
+            return (y[1], force(y[0], params))
 
         band = default_band(params)
         T = period(0.1, params)
-        sol = solve_ivp(_planar_ivp, (0.0, T), [0.1, 0.0], dense_output=True,
-                        rtol=1e-12, atol=1e-14, method="DOP853", args=(params,))
+        sol = solve_ivp(planar, (0.0, T), [0.1, 0.0], dense_output=True,
+                        rtol=1e-12, atol=1e-14, method="DOP853")
         ts = np.linspace(0.0, T, 8193)
         curve = sol.sol(ts)
 
@@ -326,7 +340,7 @@ class TestStackedDistance:
         band = default_band(params)
         orbit = sample_orbit(0.1, 4096, params)
         s = self._stack(self.PLANAR, table, rng)
-        d, path = dist_to_orbit(s, 0.1, band, table, params, orbit=orbit, with_path=True)
+        d, path = dist_to_orbit(s, 0.1, band, table, params, with_path=True)
         assert d.shape == path.shape == (len(self.PLANAR),)
         for i in range(len(self.PLANAR)):
             row = State(s.a[i], s.b[i])
@@ -334,7 +348,7 @@ class TestStackedDistance:
             assert path[i] == ref_path
             assert abs(d[i] - ref) <= 1e-14
             # the one-state call is the one-row case of the stack
-            assert dist_to_orbit(row, 0.1, band, table, params, orbit=orbit) == d[i]
+            assert dist_to_orbit(row, 0.1, band, table, params) == d[i]
         assert list(path).count("samples") == 1
 
     def test_p2_rows_match_scalar_reference(self, rng):
