@@ -221,7 +221,7 @@ def _validate(values: dict) -> RunConfig:
         raise ValidationError(
             "random_direction perturbations require an explicit seed "
             "(reproducibility is a contract, there is no default)")
-    single = (experiment.eta,) if experiment.eta is not None else ()
+    single = tuple(v for v in (experiment.eta, experiment.delta) if v is not None)
     try:
         for e in (experiment.eta_list or ()) + single:
             check_eta(e, params)
@@ -243,53 +243,29 @@ def _check_formats(formats) -> tuple[str, ...]:
     return formats
 
 
+def _format(value, tag) -> str:
+    """Config text of one value: the inverse of ``_parse_scalar``."""
+    if isinstance(tag, str) and tag.endswith("_list"):
+        return ",".join(_format(v, tag[:-5]) for v in value)
+    if tag == "bool":
+        return "true" if value else "false"
+    return repr(value) if tag == "float" else str(value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    """Normalized config text; parse(serialize(parse(text))) is idempotent."""
-    lines = ["[model]"]
-    lines.append(f"m = {cfg.model.m!r}")
-    lines.append(f"p = {cfg.model.p}")
-    lines.append(f"dim = {cfg.model.dim}")
-    lines.append(f"cutoff = {cfg.model.cutoff}")
-    lines.append("periods = " + ",".join(repr(L) for L in cfg.model.periods))
-    lines.append("")
-    lines.append("[stepper]")
-    lines.append(f"dt = {cfg.stepper.dt!r}")
-    lines.append(f"scheme = {cfg.stepper.scheme}")
-    lines.append(f"max_time = {cfg.stepper.max_time!r}")
-    lines.append(f"sample_stride = {cfg.stepper.sample_stride}")
-    lines.append("")
-    lines.append("[experiment]")
-    ex = cfg.experiment
-    lines.append(f"kind = {ex.kind}")
-    if ex.eta is not None:
-        lines.append(f"eta = {ex.eta!r}")
-    if ex.eta_list:
-        lines.append("eta_list = " + ",".join(repr(e) for e in ex.eta_list))
-    if ex.amplitude is not None:
-        lines.append(f"amplitude = {ex.amplitude!r}")
-    if ex.modes:
-        lines.append("modes = " + ",".join(str(k) for k in ex.modes))
-    lines.append(f"distribution = {ex.distribution}")
-    if ex.seed is not None:
-        lines.append(f"seed = {ex.seed}")
-    if ex.seeds:
-        lines.append("seeds = " + ",".join(str(s) for s in ex.seeds))
-    if ex.loop_budget is not None:
-        lines.append(f"loop_budget = {ex.loop_budget}")
-    lines.append(f"loop_rate = {ex.loop_rate!r}")
-    if ex.delta is not None:
-        lines.append(f"delta = {ex.delta!r}")
-    if ex.lambdas:
-        lines.append("lambdas = " + ",".join(repr(v) for v in ex.lambdas))
-    lines.append(f"rebaseline = {'true' if ex.rebaseline else 'false'}")
-    if ex.dist_coefficient is not None:
-        lines.append(f"dist_coefficient = {ex.dist_coefficient!r}")
-    lines.append(f"drift_tol = {ex.drift_tol!r}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"directory = {cfg.output_dir}")
-    lines.append("formats = " + ",".join(cfg.formats))
-    return "\n".join(lines) + "\n"
+    """Normalized config text, every set key in ``_SCHEMA`` order;
+    parse(serialize(parse(text))) is idempotent."""
+    sources = {"model": cfg.model, "stepper": cfg.stepper,
+               "experiment": cfg.experiment, "output": cfg}
+    blocks = []
+    for section, keys in _SCHEMA.items():
+        lines = [f"[{section}]"]
+        for key, tag in keys.items():
+            value = getattr(sources[section], "output_dir" if key == "directory" else key)
+            if value is not None and value != ():
+                lines.append(f"{key} = {_format(value, tag)}")
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _fmt(x) -> str:
@@ -329,11 +305,10 @@ def _band(cfg: RunConfig):
     return default_band(cfg.model)
 
 
-def _perturbation(cfg: RunConfig, eta: float, seed=None) -> PerturbationSpec:
+def _perturbation(cfg: RunConfig, table, eta: float, seed=None) -> PerturbationSpec:
     ex = cfg.experiment
     amplitude = ex.amplitude if ex.amplitude is not None else eta ** 3
-    modes = ex.modes if ex.modes else tuple(
-        k for k in range(1, 9) if k < 2 * cfg.model.cutoff + 1)
+    modes = ex.modes if ex.modes else tuple(range(1, min(9, table.mode_count)))
     return PerturbationSpec(
         amplitude=amplitude, mode_set=modes, distribution=ex.distribution,
         seed=seed if seed is not None else ex.seed)
@@ -345,8 +320,8 @@ def _initial_state(cfg: RunConfig, table, eta: float, seed=None,
     if default_planar and ex.amplitude is None and ex.modes is None:
         spec = PerturbationSpec(amplitude=0.0, mode_set=())
     else:
-        spec = _perturbation(cfg, eta, seed)
-    return perturb_near_orbit(eta, None, spec, table, cfg.model)
+        spec = _perturbation(cfg, table, eta, seed)
+    return perturb_near_orbit(eta, spec, table, cfg.model)
 
 
 def _run_simulate(cfg: RunConfig, table, out: dict):

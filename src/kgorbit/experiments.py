@@ -28,8 +28,7 @@ from .hamiltonian import (State, _phi, dist_x, energy_breakdown, i_j_equivalence
                           potential_f)
 from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
 from .spectra import ModelParams, SpectrumTable
-from .stationary import (DeltaBand, PlanarState, dist_to_orbit, invert_potential,
-                         period)
+from .stationary import DeltaBand, dist_to_orbit, invert_potential, period
 
 __all__ = [
     "PerturbationSpec", "FirstReturnResult", "LoopRecord", "StabilityReport",
@@ -41,6 +40,9 @@ __all__ = [
 
 # Two-sided acceptance window for fitted distance exponents.
 EXPONENT_PASS_RANGE = (1.8, 2.6)
+
+# bound_check_I flags sample times whose ratio exceeds this.
+_RATIO_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -150,27 +152,19 @@ def power_law_fit(x, y) -> dict:
             "r_squared": fit["r_squared"]}
 
 
-def perturb_near_orbit(eta: float, base_point: PlanarState | None,
-                       spec: PerturbationSpec, table: SpectrumTable,
+def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable,
                        params: ModelParams) -> State:
-    """Displace a loop point by exactly spec.amplitude in the energy norm.
+    """Displace the loop's turning point (eta, 0) by exactly
+    spec.amplitude in the energy norm.
 
     The direction is drawn per spec.distribution and rescaled, so the
     achieved distance equals the amplitude to rounding.  Deterministic in
     spec.seed.
     """
-    if base_point is None:
-        base_point = PlanarState(eta, 0.0)
-    level_gap = base_point.b0 ** 2 + potential_f(base_point.a0, params) \
-        - potential_f(eta, params)
-    if abs(level_gap) > 1e-8:
-        raise ValidationError(
-            f"base point is off the loop level set by {level_gap:.3e}")
-
     n = table.mode_count
     a = np.zeros(n)
     b = np.zeros(n)
-    a[0], b[0] = base_point.a0, base_point.b0
+    a[0] = eta
     if spec.amplitude == 0.0:
         return State(a, b, 0.0)
     if not spec.mode_set:
@@ -371,15 +365,14 @@ def period_scaling_sweep(eta_list, params: ModelParams) -> dict:
     }
 
 
-def bound_check_I(trajectory: Trajectory, params: ModelParams,
-                  ratio_cap: float = 1e6) -> IBoundCheck:
+def bound_check_I(trajectory: Trajectory, params: ModelParams) -> IBoundCheck:
     """Empirical constant in the a priori bound on dI/dt.
 
     dI/dt is estimated by centered differences of the sampled I series
     and compared pointwise against a0^(2p-1) |da0/dt| I + I^(3/2); the
     reported constant is the maximal ratio.  Planar trajectories (I
     identically zero) are reported as vacuous.  Sample times where the
-    ratio exceeds ratio_cap are flagged.
+    ratio exceeds 1e6 are flagged.
     """
     n = len(trajectory.times)
     if n < 3:
@@ -403,7 +396,7 @@ def bound_check_I(trajectory: Trajectory, params: ModelParams,
             continue
         ratio = abs(dI) / rhs_val
         n_pts += 1
-        if ratio > ratio_cap:
+        if ratio > _RATIO_CAP:
             flagged.append(float(t[i]))
         c_max = max(c_max, ratio)
     return IBoundCheck(c_max=c_max if n_pts else None, n_points=n_pts,

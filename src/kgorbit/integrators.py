@@ -174,15 +174,13 @@ class _LinearFlow:
         return self.c * a + self.s * b, self.g * a + self.c * b
 
 
-def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
-           nonlinear: bool = True):
+def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams):
     """One step of ``scheme`` as a function (a, b, f) -> (a, b, f) on a
     stack (members, modes), with one kernel call per force evaluation for
     the whole stack.  Returns new arrays and leaves its inputs untouched.
     ``f`` carries the power force at the step's closing positions into
     the next step: ``split2`` opens with it (computing it when None) and
     returns the closing force, ``rk4`` ignores it and returns None.
-    ``nonlinear=False`` drops the power term.
     """
     exponent = 2 * params.p + 1
     if scheme == "split2":
@@ -190,14 +188,12 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
         half = 0.5 * dt
 
         def split2(a, b, f=None):
-            if nonlinear:
-                if f is None:
-                    f = _project_power_raw(a, exponent, table)
-                b = b - half * f
-            a, b = flow.apply(a, b)
-            if nonlinear:
+            if f is None:
                 f = _project_power_raw(a, exponent, table)
-                b -= half * f
+            b = b - half * f
+            a, b = flow.apply(a, b)
+            f = _project_power_raw(a, exponent, table)
+            b -= half * f
             return a, b, f
         return split2
 
@@ -205,8 +201,7 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
 
     def db(av):
         out = -w2 * av
-        if nonlinear:
-            out -= _project_power_raw(av, exponent, table)
+        out -= _project_power_raw(av, exponent, table)
         return out
 
     def rk4(a, b, f=None):
@@ -220,34 +215,37 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams,
 
 
 def _step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
-          scheme: str, nonlinear: bool) -> State:
+          scheme: str) -> State:
     validate_state(s, table)
-    a, b, _ = _stage(scheme, dt, table, params, nonlinear)(s.a[None], s.b[None])
+    a, b, _ = _stage(scheme, dt, table, params)(s.a[None], s.b[None])
     return State(a[0], b[0], s.t + dt)
 
 
-def split2_step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
-                nonlinear: bool = True) -> State:
-    """One Strang step.  ``nonlinear=False`` drops the kick (linear-flow testing)."""
-    return _step(s, dt, table, params, "split2", nonlinear)
+def split2_step(s: State, dt: float, table: SpectrumTable, params: ModelParams) -> State:
+    """One Strang step, kick(dt/2) o linear(dt) o kick(dt/2)."""
+    return _step(s, dt, table, params, "split2")
 
 
-def rk4_step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
-             nonlinear: bool = True) -> State:
+def rk4_step(s: State, dt: float, table: SpectrumTable, params: ModelParams) -> State:
     """One classical Runge-Kutta step on the full vector field."""
-    return _step(s, dt, table, params, "rk4", nonlinear)
+    return _step(s, dt, table, params, "rk4")
+
+
+# Crossing refinement: |section residual| target and bisection budget.
+_REFINE_TOL = 1e-10
+_REFINE_MAX_ITER = 200
 
 
 def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
                     table: SpectrumTable, params: ModelParams,
-                    scheme: str = "split2", tol: float = 1e-10,
-                    max_iter: int = 200) -> tuple[float, State]:
-    """Bisect the sub-step length until the section residual is below tol.
+                    scheme: str = "split2") -> tuple[float, State]:
+    """Bisect the sub-step length until |section residual| <= 1e-10.
 
     Each trial point is produced by one scheme step of the trial length
     from ``s_before``, so the refined crossing stays on the numerical
     flow.  Raises NoCrossing when the bracketing residuals do not change
-    sign or the refined point violates the sign constraint.
+    sign, when 200 bisections do not reach the tolerance, or when the
+    refined point violates the sign constraint.
     """
     dt_full = s_after.t - s_before.t
     if not dt_full > 0:
@@ -267,20 +265,20 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
         lo, hi = 0.0, dt_full
         candidate, tau = s_after, dt_full
         best, best_res = s_after, abs(r_hi)
-        for _ in range(max_iter):
+        for _ in range(_REFINE_MAX_ITER):
             tau = 0.5 * (lo + hi)
             candidate = step(s_before, tau, table, params)
             r_mid = section.residual(float(candidate.a[0]), float(candidate.b[0]))
             if abs(r_mid) < best_res:
                 best, best_res = candidate, abs(r_mid)
-            if abs(r_mid) <= tol:
+            if abs(r_mid) <= _REFINE_TOL:
                 break
             if r_lo * r_mid < 0:
                 hi = tau
             else:
                 lo = tau
         else:
-            if best_res > tol:
+            if best_res > _REFINE_TOL:
                 raise NoCrossing(f"refinement stalled at |residual| = {best_res:.3e}",
                                  "stalled")
             candidate = best

@@ -332,17 +332,16 @@ def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
 
 
 def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
-                  params: ModelParams, with_path: bool = False):
+                  params: ModelParams):
     """Energy-space distance from a full state to the planar loop.
 
     The constant-mode pair is projected onto the level set and the
     distance to that embedded point returned.  Rows whose projection is
-    undefined fall back to the minimum over 4096 loop samples, built on
-    demand.  ``s`` is one state (returns a float)
-    or a stack of samples with ``a``/``b`` shaped (S, modes) (returns an
-    (S,) array): the one-state call is the one-row case.
-    ``with_path=True`` also returns which route produced each value
-    ('projection' or 'samples'; an (S,) array for a stack).
+    undefined (the mask of ``_project``) fall back to the minimum over
+    4096 loop samples, built once per call on demand.  ``s`` is one state
+    (returns a float) or a stack of samples with ``a``/``b`` shaped
+    (S, modes) (returns an (S,) array): the one-state call is the one-row
+    case.
     """
     stacked = s.a.ndim == 2
     a, b = (s.a, s.b) if stacked else (s.a[None], s.b[None])
@@ -363,10 +362,7 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
             orbit = sample_orbit(eta, 4096, params)
         value[r] = np.min(np.sqrt((a0[r] - orbit.a0) ** 2 + high_a[r])
                           + np.sqrt((b0[r] - orbit.b0) ** 2 + high_b[r]))
-    if not with_path:
-        return value if stacked else float(value[0])
-    path = np.where(defined, "projection", "samples")
-    return (value, path) if stacked else (float(value[0]), str(path[0]))
+    return value if stacked else float(value[0])
 
 
 def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:

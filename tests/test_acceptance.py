@@ -69,7 +69,7 @@ def return_sweep(table_k8, params_k8):
         for seed in SEEDS:
             spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                     distribution="random_direction", seed=seed)
-            s0 = perturb_near_orbit(eta, None, spec, table_k8, params_k8)
+            s0 = perturb_near_orbit(eta, spec, table_k8, params_k8)
             j0 = energy_breakdown(s0, table_k8, params_k8).J
             h0 = hamiltonian(s0, table_k8, params_k8)
             res = run_first_return(s0, eta, band, cfg, table_k8, params_k8)
@@ -133,7 +133,7 @@ def test_criterion_05_energy_conservation(table_k8, params_k8):
     eta = 0.1
     spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                             distribution="random_direction", seed=1)
-    s0 = perturb_near_orbit(eta, None, spec, table_k8, params_k8)
+    s0 = perturb_near_orbit(eta, spec, table_k8, params_k8)
     cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=1000.0,
                         sample_stride=1000)
     traj = evolve(s0, cfg, table_k8, params_k8)
@@ -170,7 +170,7 @@ def test_criterion_07_many_loop_confinement(return_sweep, table_k8, params_k8):
     for seed in SEEDS:
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=seed)
-        s0 = perturb_near_orbit(eta, None, spec, table_k8, params_k8)
+        s0 = perturb_near_orbit(eta, spec, table_k8, params_k8)
         rep = run_many_loops(s0, eta, band, budget, cfg, table_k8, params_k8,
                              dist_coefficient=c6)
         j_ok_all &= rep.j_within_regime and rep.completed_loops == budget

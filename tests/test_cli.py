@@ -2,10 +2,12 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from kgorbit import ParseError, ValidationError, parse_config, run, serialize_config
-from kgorbit.cli import main
+from kgorbit import (ParseError, ValidationError, build_spectrum, parse_config, run,
+                     serialize_config)
+from kgorbit.cli import _initial_state, main
 from kgorbit.stationary import floquet, sample_orbit
 
 MINIMAL = """\
@@ -27,6 +29,43 @@ eta = 0.1
 
 [output]
 formats = csv,json
+"""
+
+# sets every key of the schema, in normalized form
+EVERY_KEY = """\
+[model]
+m = 0.5
+p = 1
+dim = 2
+cutoff = 3
+periods = 2.0,0.5
+
+[stepper]
+dt = 0.0005
+scheme = rk4
+max_time = 40.0
+sample_stride = 25
+
+[experiment]
+kind = first-return
+eta = 0.05
+eta_list = 0.1,0.02
+amplitude = 1.25e-05
+modes = 1,2,5
+distribution = random_direction
+seed = 7
+seeds = 3,4
+loop_budget = 4
+loop_rate = 1.5
+delta = 0.2
+lambdas = 6.5,12.25
+rebaseline = false
+dist_coefficient = 0.25
+drift_tol = 1e-09
+
+[output]
+directory = out/full
+formats = json,csv
 """
 
 
@@ -56,6 +95,11 @@ class TestParse:
         cfg2 = parse_config(text1)
         assert cfg2 == cfg1
         assert serialize_config(cfg2) == text1
+
+    def test_serialize_every_key(self):
+        cfg = parse_config(EVERY_KEY)
+        assert serialize_config(cfg) == EVERY_KEY
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_unknown_key_names_line_and_key(self):
         bad = MINIMAL.replace("dt = 1e-3", "dt = 1e-3\nfoo = 1")
@@ -97,6 +141,21 @@ class TestParse:
         for eta in ("0.7", "0", "-0.1"):
             with pytest.raises(ValidationError, match="must lie in"):
                 parse_config(MINIMAL.replace("eta = 0.1", f"eta = {eta}"))
+
+    def test_delta_range_checked(self):
+        text = MINIMAL.replace("kind = simulate", "kind = first-return\ndelta = 0.7")
+        with pytest.raises(ValidationError, match="must lie in"):
+            parse_config(text)
+
+    def test_default_modes_on_2d_torus(self):
+        # a 2D K = 2 torus has 25 modes: the default set is 1..8, as in 1D
+        text = MINIMAL.replace("dim = 1\ncutoff = 4", "dim = 2\ncutoff = 2").replace(
+            "kind = simulate", "kind = first-return")
+        cfg = parse_config(text)
+        table = build_spectrum(cfg.model)
+        s0 = _initial_state(cfg, table, 0.1)
+        assert table.mode_count == 25
+        assert np.flatnonzero(s0.b).tolist() == list(range(1, 9))
 
     def test_comments_and_blank_lines(self):
         text = "# a comment\n\n" + MINIMAL

@@ -27,13 +27,13 @@ def base_state(table, eta):
 class TestPerturbNearOrbit:
     def test_zero_amplitude_returns_base(self, table8, params8):
         spec = PerturbationSpec(amplitude=0.0, mode_set=())
-        s = perturb_near_orbit(0.1, None, spec, table8, params8)
+        s = perturb_near_orbit(0.1, spec, table8, params8)
         assert s.a[0] == 0.1 and np.all(s.a[1:] == 0) and np.all(s.b == 0)
 
     def test_single_mode_layout(self, table8, params8):
         eps = 1e-4
         spec = PerturbationSpec(amplitude=eps, mode_set=(1,), distribution="single_mode")
-        s = perturb_near_orbit(0.1, None, spec, table8, params8)
+        s = perturb_near_orbit(0.1, spec, table8, params8)
         assert s.a[1] == pytest.approx(eps / math.sqrt(1 + 4 * math.pi ** 2), rel=1e-13)
         assert np.all(s.b == 0.0)
 
@@ -43,26 +43,26 @@ class TestPerturbNearOrbit:
                                 ("random_direction", 11)):
             spec = PerturbationSpec(amplitude=1e-3, mode_set=tuple(range(1, 9)),
                                     distribution=dist_name, seed=seed)
-            s = perturb_near_orbit(0.1, None, spec, table8, params8)
+            s = perturb_near_orbit(0.1, spec, table8, params8)
             assert abs(dist_x(s, base, table8) - 1e-3) < 1e-12 * 1e-3 + 1e-15
 
     def test_deterministic_in_seed(self, table8, params8):
         spec = PerturbationSpec(amplitude=1e-3, mode_set=(1, 2, 3),
                                 distribution="random_direction", seed=42)
-        s1 = perturb_near_orbit(0.1, None, spec, table8, params8)
-        s2 = perturb_near_orbit(0.1, None, spec, table8, params8)
+        s1 = perturb_near_orbit(0.1, spec, table8, params8)
+        s2 = perturb_near_orbit(0.1, spec, table8, params8)
         assert np.array_equal(s1.a, s2.a) and np.array_equal(s1.b, s2.b)
 
     def test_empty_mode_set(self, table8, params8):
         with pytest.raises(EmptyModeSet):
-            perturb_near_orbit(0.1, None, PerturbationSpec(amplitude=1e-3, mode_set=()),
+            perturb_near_orbit(0.1, PerturbationSpec(amplitude=1e-3, mode_set=()),
                                table8, params8)
 
     def test_seed_required_for_random(self, table8, params8):
         spec = PerturbationSpec(amplitude=1e-3, mode_set=(1,),
                                 distribution="random_direction")
         with pytest.raises(ValidationError):
-            perturb_near_orbit(0.1, None, spec, table8, params8)
+            perturb_near_orbit(0.1, spec, table8, params8)
 
     def test_energy_close_to_loop_level(self, table8, params8):
         # perturbed energy is -m^2 eta^2/2 + O(eta^3); here the gap decays
@@ -72,7 +72,7 @@ class TestPerturbNearOrbit:
         for eta in etas:
             spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                     distribution="equipartition")
-            s = perturb_near_orbit(eta, None, spec, table8, params8)
+            s = perturb_near_orbit(eta, spec, table8, params8)
             gaps.append(abs(hamiltonian(s, table8, params8)
                             + 0.5 * params8.m ** 2 * eta ** 2))
         fit = power_law_fit(etas, gaps)
@@ -95,7 +95,7 @@ class TestFirstReturn:
         band = default_band(params8)
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=3)
-        s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8, params8)
         j0 = energy_breakdown(s0, table8, params8).J
         res = run_first_return(s0, eta, band, cfg, table8, params8)
         assert 0.0 < res.distance < eta ** 2
@@ -109,8 +109,8 @@ class TestFirstReturn:
         band = default_band(params8)
         etas = [0.1, 0.1, 0.05, 0.02]
         starts = [perturb_near_orbit(
-            eta, None, PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
-                                        distribution="random_direction", seed=seed),
+            eta, PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
+                                  distribution="random_direction", seed=seed),
             table8, params8) for eta, seed in zip(etas, (1, 2, 1, 1))]
         stacked = run_first_returns(starts, etas, band, cfg, table8, params8)
         for s0, eta, got in zip(starts, etas, stacked):
@@ -154,7 +154,7 @@ class TestManyLoops:
         band = default_band(params8)
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=1)
-        s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8, params8)
         report = run_many_loops(s0, eta, band, 2, cfg, table8, params8,
                                 dist_coefficient=1.0)
         assert report.completed_loops == 2
@@ -181,7 +181,7 @@ class TestManyLoops:
         eta = 0.05
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=1)
-        s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8, params8)
         report = run_many_loops(s0, eta, default_band(params8), 1, cfg, table8, params8)
         assert report.completed_loops == 1
         assert report.max_dist_to_orbit > 0
@@ -193,7 +193,7 @@ class TestManyLoops:
                                 distribution="random_direction", seed=9)
 
         def one():
-            s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+            s0 = perturb_near_orbit(eta, spec, table8, params8)
             return run_many_loops(s0, eta, band, 2, cfg, table8, params8)
 
         r1, r2 = one(), one()
@@ -241,7 +241,7 @@ class TestDiagnostics:
         def c_for(stride):
             cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=100.0,
                                 sample_stride=stride)
-            s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+            s0 = perturb_near_orbit(eta, spec, table8, params8)
             res = run_first_return(s0, eta, band, cfg, table8, params8)
             return bound_check_I(res.trajectory, params8).c_max
 
@@ -255,7 +255,7 @@ class TestDiagnostics:
         band = default_band(params8)
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=2)
-        s0 = perturb_near_orbit(eta, None, spec, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8, params8)
         res = run_first_return(s0, eta, band, cfg, table8, params8)
         fit = phi_envelope_fit(res.trajectory, eta)
         assert fit["phi"][0] == 0.0

@@ -29,15 +29,16 @@ class TestSingleSteps:
             assert np.all(out.a == 0.0) and np.all(out.b == 0.0)
 
     def test_linear_flow_is_exact_rotation(self, table, params, rng):
-        # with the kick disabled each nonconstant mode rotates exactly:
-        # omega^2 a^2 + b^2 is conserved to rounding over many steps
-        s = State(np.zeros(table.mode_count), np.zeros(table.mode_count))
-        s.a[1], s.b[1] = 0.3, -0.2
+        # the linear part of a Strang step rotates each nonconstant mode
+        # exactly: omega^2 a^2 + b^2 is conserved to rounding over many steps
+        a, b = np.zeros((1, table.mode_count)), np.zeros((1, table.mode_count))
+        a[0, 1], b[0, 1] = 0.3, -0.2
         w2 = table.lam_sq[1] - params.m ** 2
-        inv0 = w2 * s.a[1] ** 2 + s.b[1] ** 2
+        inv0 = w2 * a[0, 1] ** 2 + b[0, 1] ** 2
+        flow = _LinearFlow(table, params, 1e-2)
         for _ in range(200):
-            s = split2_step(s, 1e-2, table, params, nonlinear=False)
-        inv1 = w2 * s.a[1] ** 2 + s.b[1] ** 2
+            a, b = flow.apply(a, b)
+        inv1 = w2 * a[0, 1] ** 2 + b[0, 1] ** 2
         assert abs(inv1 - inv0) < 1e-13 * inv0
 
     def test_linear_blocks_have_unit_determinant(self, table, params):
@@ -96,7 +97,7 @@ class TestEvolve:
         from kgorbit.experiments import linear_fit
         spec = PerturbationSpec(amplitude=1e-3, mode_set=tuple(range(1, 9)),
                                 distribution="equipartition")
-        s0 = perturb_near_orbit(0.1, None, spec, table8, params8)
+        s0 = perturb_near_orbit(0.1, spec, table8, params8)
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=100.0, sample_stride=100)
         traj = evolve(s0, cfg, table8, params8)
         h = traj.series("H")
@@ -194,21 +195,34 @@ class TestSections:
         omega = math.sqrt(2 * params.p) * params.m
         assert traj.events[0][0] == pytest.approx(math.pi / omega, rel=1e-5)
 
-    def test_refine_crossing_contract(self, table, params):
-        eta = 0.1
-        sec = SectionSpec(kind="b0_equals", level=0.05, sign_constraint="a0_left_of_center")
-        s = planar(table, eta)
-        before = None
+    @staticmethod
+    def _bracket(sec, table, params):
+        """The rk4 steps (dt 1e-2, from (0.1, 0)) on either side of the
+        first crossing of the b0 level of ``sec``."""
+        s = planar(table, 0.1)
         for _ in range(2000):
             nxt = rk4_step(s, 1e-2, table, params)
             if (s.b[0] - sec.level) * (nxt.b[0] - sec.level) < 0:
-                before, after = s, nxt
-                break
+                return s, nxt
             s = nxt
-        assert before is not None
+        raise AssertionError("no crossing within 20 time units")
+
+    def test_refine_crossing_contract(self, table, params):
+        sec = SectionSpec(kind="b0_equals", level=0.05, sign_constraint="a0_left_of_center")
+        before, after = self._bracket(sec, table, params)
         t_ev, st_ev = refine_crossing(before, after, sec, table, params, scheme="rk4")
         assert before.t <= t_ev <= after.t
         assert abs(st_ev.b[0] - sec.level) <= 1e-10
+
+    def test_refine_stalls_without_bisections(self, table, params, monkeypatch):
+        # three halvings of a 1e-2 step cannot reach |residual| <= 1e-10
+        from kgorbit import integrators
+        sec = SectionSpec(kind="b0_equals", level=0.05, sign_constraint="a0_left_of_center")
+        before, after = self._bracket(sec, table, params)
+        monkeypatch.setattr(integrators, "_REFINE_MAX_ITER", 3)
+        with pytest.raises(NoCrossing) as err:
+            refine_crossing(before, after, sec, table, params, scheme="rk4")
+        assert err.value.reason == "stalled"
 
     def test_refine_requires_sign_change(self, table, params):
         sec = SectionSpec(kind="a0_equals", level=5.0, sign_constraint="b0_positive")
@@ -308,7 +322,7 @@ class TestForceReuse:
         from kgorbit import PerturbationSpec, perturb_near_orbit
         spec = PerturbationSpec(amplitude=1e-2, mode_set=(1, 2, 3),
                                 distribution="random_direction", seed=seed)
-        return perturb_near_orbit(eta, None, spec, table, table.params)
+        return perturb_near_orbit(eta, spec, table, table.params)
 
     def test_one_member_equals_step_loop(self, table8, params8):
         # the reference loop evaluates both kicks of every step

@@ -11,6 +11,8 @@ from kgorbit import (Loop, OutOfRange, PlanarState, ProjectionUndefined, State,
                      default_band, delta_band, dist_to_orbit, floquet, force,
                      homoclinic, invert_potential, period, potential_f,
                      project_to_orbit, sample_orbit, turning_point)
+from kgorbit import stationary
+from kgorbit.stationary import _project
 
 M = 0.5  # the mass of the params fixture
 
@@ -237,8 +239,8 @@ class TestDistToOrbit:
             b[0] = rng.uniform(-1e-3, 1e-3)
             a[1:3] = 1e-4 * rng.standard_normal(2)
             s = State(a, b)
-            d_proj, path = dist_to_orbit(s, 0.1, band, table, params, with_path=True)
-            assert path == "projection"
+            d_proj = dist_to_orbit(s, 0.1, band, table, params)
+            assert _project(a[:1], b[:1], 0.1, band, params)[2].all()
             high_a = float(np.sum((1 + table.lam_sq[1:]) * a[1:] ** 2))
 
             def dist_at(tt):
@@ -255,15 +257,24 @@ class TestDistToOrbit:
             assert d_proj >= brute - 1e-7
             assert d_proj <= brute + 50.0 * brute ** 2
 
-    def test_fallback_path(self, table, params):
+    def test_fallback_path(self, table, params, monkeypatch):
         # in-band position above the level set: projection undefined, dense
-        # samples take over
+        # samples take over, built once
         band = delta_band(0.25, params)
         a = np.zeros(table.mode_count)
         a[0] = 0.26
-        d, path = dist_to_orbit(State(a, np.zeros(table.mode_count)), 0.3, band,
-                                table, params, with_path=True)
-        assert path == "samples"
+        b = np.zeros(table.mode_count)
+        assert not _project(a[:1], b[:1], 0.3, band, params)[2].any()
+        sample = stationary.sample_orbit
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(stationary, "sample_orbit", counted)
+        d = dist_to_orbit(State(a, b), 0.3, band, table, params)
+        assert len(calls) == 1
         assert d > 0
 
 
@@ -340,7 +351,10 @@ class TestStackedDistance:
         band = default_band(params)
         orbit = sample_orbit(0.1, 4096, params)
         s = self._stack(self.PLANAR, table, rng)
-        d, path = dist_to_orbit(s, 0.1, band, table, params, with_path=True)
+        d = dist_to_orbit(s, 0.1, band, table, params)
+        # the rule dist_to_orbit uses to pick each row's route
+        defined = _project(s.a[:, 0], s.b[:, 0], 0.1, band, params)[2]
+        path = np.where(defined, "projection", "samples")
         assert d.shape == path.shape == (len(self.PLANAR),)
         for i in range(len(self.PLANAR)):
             row = State(s.a[i], s.b[i])
