@@ -321,21 +321,21 @@ def _initial_state(cfg: RunConfig, table, eta: float, seed=None,
         spec = PerturbationSpec(amplitude=0.0, mode_set=())
     else:
         spec = _perturbation(cfg, table, eta, seed)
-    return perturb_near_orbit(eta, spec, table, cfg.model)
+    return perturb_near_orbit(eta, spec, table)
 
 
 def _run_simulate(cfg: RunConfig, table, out: dict):
     eta = cfg.experiment.eta
     s0 = _initial_state(cfg, table, eta, default_planar=True)
-    traj = evolve(s0, cfg.stepper, table, cfg.model)
-    h = traj.series("H")
+    traj = evolve(s0, cfg.stepper, table)
+    h = traj.energy.H
     drift = linear_fit(traj.times, h - h[0])["slope"] if len(h) > 1 else 0.0
     out["csv"] = (["t", "a0", "b0", "H", "J", "I", "r"],
                   list(zip(traj.times, traj.a[:, 0], traj.b[:, 0],
-                           *(traj.series(name) for name in ("H", "J", "I", "r")))))
+                           h, traj.energy.J, traj.energy.I, traj.energy.r)))
     out["json"] = {
         "experiment": "simulate", "eta": eta, "H_drift": drift,
-        "max_J": float(traj.series("J").max()), "final_time": float(traj.times[-1]),
+        "max_J": float(traj.energy.J.max()), "final_time": float(traj.times[-1]),
         "anomaly": False,
     }
     return 0
@@ -356,10 +356,10 @@ def _run_first_return(cfg: RunConfig, table, out: dict):
     combos = [(eta, seed) for eta in etas for seed in seeds]
     starts = [_initial_state(cfg, table, eta, seed) for eta, seed in combos]
     results = run_first_returns(starts, [eta for eta, _ in combos], band,
-                                cfg.stepper, table, cfg.model)
+                                cfg.stepper, table)
     runs = []
     for (eta, seed), s0, res in zip(combos, starts, results):
-        j0 = energy_breakdown(s0, table, cfg.model).J
+        j0 = energy_breakdown(s0, table).J
         if isinstance(res, KgError):
             runs.append({"eta": eta, "seed": seed, "J0": j0, "error":
                          {"type": type(res).__name__, "message": str(res)}})
@@ -405,7 +405,7 @@ def _run_stability(cfg: RunConfig, table, out: dict):
         max(1, math.ceil(ex.loop_rate * math.log(1.0 / eta)))
     s0 = _initial_state(cfg, table, eta)
     report = run_many_loops(s0, eta, _band(cfg), budget, cfg.stepper, table,
-                            cfg.model, rebaseline=ex.rebaseline,
+                            rebaseline=ex.rebaseline,
                             dist_coefficient=ex.dist_coefficient)
     anomaly = (not report.j_within_regime) or report.dist_within_bound is False \
         or report.completed_loops < report.requested_loops
@@ -452,9 +452,8 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
 def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
     s0 = _initial_state(cfg, table, ex.eta, default_planar=True)
-    traj = evolve(s0, cfg.stepper, table, cfg.model)
-    h = traj.series("H")
-    dh = h - h[0]
+    traj = evolve(s0, cfg.stepper, table)
+    dh = traj.energy.H - traj.energy.H[0]
     drift = linear_fit(traj.times, dh)["slope"]
     anomaly = abs(drift) > ex.drift_tol
     out["csv"] = (["t", "H_minus_H0"], list(zip(traj.times, dh)))

@@ -152,8 +152,7 @@ def power_law_fit(x, y) -> dict:
             "r_squared": fit["r_squared"]}
 
 
-def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable,
-                       params: ModelParams) -> State:
+def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable) -> State:
     """Displace the loop's turning point (eta, 0) by exactly
     spec.amplitude in the energy norm.
 
@@ -207,7 +206,7 @@ def _return_section(s0: State, band: DeltaBand, params: ModelParams) -> SectionS
 
 
 def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
-                      table: SpectrumTable, params: ModelParams
+                      table: SpectrumTable
                       ) -> list[FirstReturnResult | NoReturn | NonFiniteState]:
     """First returns of many start states, integrated as one ensemble.
 
@@ -218,10 +217,11 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
     slot of the returned list; the other members go on, so one failure
     is reported rather than fatal to a sweep.
     """
+    params = table.params
     sections = [_return_section(s0, band, params) for s0 in states]
     cfgs = [replace(cfg, max_time=10.0 * period(eta, params), section=section)
             for eta, section in zip(etas, sections)]
-    runs = evolve_ensemble(states, cfgs, table, params, max_events=1)
+    runs = evolve_ensemble(states, cfgs, table, max_events=1)
     results: list[FirstReturnResult | NoReturn | NonFiniteState] = []
     for s0, eta, section, run_cfg, traj in zip(states, etas, sections, cfgs, runs):
         if isinstance(traj, NonFiniteState):
@@ -235,7 +235,7 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
                 return_time=t_ev - s0.t,
                 state=state_ev,
                 distance=dist_x(state_ev, s0, table),
-                J_at_return=energy_breakdown(state_ev, table, params).J,
+                J_at_return=energy_breakdown(state_ev, table).J,
                 section=section,
                 trajectory=traj,
             ))
@@ -243,14 +243,14 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
 
 
 def run_first_return(s0: State, eta: float, band: DeltaBand, cfg: StepperConfig,
-                     table: SpectrumTable, params: ModelParams) -> FirstReturnResult:
+                     table: SpectrumTable) -> FirstReturnResult:
     """Integrate until the first admissible crossing of the start section.
 
     The time budget is 10 loop periods; exceeding it raises NoReturn, and
     a blow-up raises NonFiniteState.  The one-member case of
     ``run_first_returns``.
     """
-    result = run_first_returns([s0], [eta], band, cfg, table, params)[0]
+    result = run_first_returns([s0], [eta], band, cfg, table)[0]
     if isinstance(result, Exception):
         raise result
     return result
@@ -265,8 +265,7 @@ def _rebaseline_eta(state: State, params: ModelParams) -> float:
 
 
 def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
-                   cfg: StepperConfig, table: SpectrumTable, params: ModelParams,
-                   rebaseline: bool = True,
+                   cfg: StepperConfig, table: SpectrumTable, rebaseline: bool = True,
                    dist_coefficient: float | None = None) -> StabilityReport:
     """Chain first returns for loop_budget loops, tracking J and distances.
 
@@ -277,7 +276,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     measured at every sample time.
     """
     j_ceiling = eta ** 5
-    bd0 = energy_breakdown(s0, table, params)
+    bd0 = energy_breakdown(s0, table)
     current = s0
     current_eta = eta
     records: list[LoopRecord] = []
@@ -291,12 +290,12 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
 
     for k in range(loop_budget):
         try:
-            res = run_first_return(current, current_eta, band, cfg, table, params)
+            res = run_first_return(current, current_eta, band, cfg, table)
         except NoReturn:
             regime_exited_at = k
             break
         traj = res.trajectory
-        j_vals = traj.series("J")
+        j_vals = traj.energy.J
         # the post-event sample of a loop sits just past the refined event
         # time where the next loop starts; keep the merged series monotone
         keep = traj.times > times_all[-1][-1] if times_all else \
@@ -305,9 +304,9 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         j_all.append(j_vals[keep])
         loop_max_j = float(j_vals.max())
         max_dist = max(max_dist, float(dist_to_orbit(
-            State(traj.a, traj.b), eta, band, table, params).max()))
+            State(traj.a, traj.b), eta, band, table).max()))
         max_abs_a0 = max(max_abs_a0, float(np.abs(traj.a[:, 0]).max()))
-        d_ret = dist_to_orbit(res.state, eta, band, table, params)
+        d_ret = dist_to_orbit(res.state, eta, band, table)
         max_dist = max(max_dist, d_ret)
         records.append(LoopRecord(
             index=k, eta_used=current_eta, return_time=res.return_time,
@@ -323,7 +322,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         current = res.state
         if rebaseline:
             try:
-                current_eta = _rebaseline_eta(res.state, params)
+                current_eta = _rebaseline_eta(res.state, table.params)
             except NoReturn:
                 regime_exited_at = k
                 break
@@ -345,7 +344,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         j_within_regime=j_ok, regime_exited_at=regime_exited_at,
         max_dist_to_orbit=max_dist, dist_coefficient=dist_coefficient,
         dist_within_bound=dist_ok,
-        equivalence_bound=i_j_equivalence_bound(max_abs_a0, table, params),
+        equivalence_bound=i_j_equivalence_bound(max_abs_a0, table),
         completed_loops=len(records), requested_loops=loop_budget,
     )
 
@@ -365,7 +364,7 @@ def period_scaling_sweep(eta_list, params: ModelParams) -> dict:
     }
 
 
-def bound_check_I(trajectory: Trajectory, params: ModelParams) -> IBoundCheck:
+def bound_check_I(trajectory: Trajectory) -> IBoundCheck:
     """Empirical constant in the a priori bound on dI/dt.
 
     dI/dt is estimated by centered differences of the sampled I series
@@ -379,10 +378,10 @@ def bound_check_I(trajectory: Trajectory, params: ModelParams) -> IBoundCheck:
         raise InsufficientSamples(
             f"need at least 3 samples for centered differences, got {n}")
     t = trajectory.times
-    I_vals = trajectory.series("I")
+    I_vals = trajectory.energy.I
     if np.all(I_vals == 0.0):
         return IBoundCheck(c_max=None, n_points=0, vacuous=True, flagged_times=[])
-    p = params.p
+    p = trajectory.table.params.p
     c_max = 0.0
     n_pts = 0
     flagged = []
@@ -408,7 +407,7 @@ def phi_envelope_fit(trajectory: Trajectory, eta: float) -> dict:
     the loop at (eta, 0); returns the fitted C and the phi series."""
     if len(trajectory.times) < 2:
         raise InsufficientSamples("need at least 2 samples")
-    J, r = trajectory.series("J"), trajectory.series("r")
+    J, r = trajectory.energy.J, trajectory.energy.r
     t0 = float(trajectory.times[0])
     phis = _phi(J, r, J[0], r[0], eta)
     rel_t = trajectory.times - t0

@@ -108,32 +108,32 @@ def force(x: float, params: ModelParams):
     return _bound_force(params)(x)
 
 
-def _energy(s: State, g: np.ndarray, table: SpectrumTable,
-            params: ModelParams) -> tuple[float, float]:
+def _energy(s: State, g: np.ndarray, table: SpectrumTable) -> tuple[float, float]:
     """Total energy H and the grid mean of u^(2p+2), given the grid values
     g of u; the quadrature of the nonlinear term is exact.  Reduces over
     the last axis, so stacked states give one value per sample."""
+    params = table.params
     mean_pow = np.mean(_grid_power(g, 2 * params.p + 2), axis=-1)
     quad = 0.5 * np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2, axis=-1)
     return quad + mean_pow / (2 * params.p + 2), mean_pow
 
 
-def hamiltonian(s: State, table: SpectrumTable, params: ModelParams) -> float:
+def hamiltonian(s: State, table: SpectrumTable) -> float:
     """Total energy by exact quadrature of the nonlinear term."""
     validate_state(s, table)
-    return float(_energy(s, _synthesis(s.a, table), table, params)[0])
+    return float(_energy(s, _synthesis(s.a, table), table)[0])
 
 
-def rhs(s: State, table: SpectrumTable, params: ModelParams) -> State:
+def rhs(s: State, table: SpectrumTable) -> State:
     """Time derivative of the state (canonical equations of the energy)."""
     validate_state(s, table)
     da = s.b.copy()
-    db = -(table.lam_sq - params.m ** 2) * s.a - _project_power_raw(
-        s.a, 2 * params.p + 1, table)
+    db = -(table.lam_sq - table.params.m ** 2) * s.a - _project_power_raw(
+        s.a, 2 * table.params.p + 1, table)
     return State(da, db, s.t)
 
 
-def q_vector(s: State, table: SpectrumTable, params: ModelParams) -> np.ndarray:
+def q_vector(s: State, table: SpectrumTable) -> np.ndarray:
     """Coefficients q_k of the nonlinear coupling remainder.
 
     q_k = <(a0 + U)^(2p+1) - a0^(2p+1) - (2p+1) a0^(2p) U, e_k> with
@@ -141,12 +141,11 @@ def q_vector(s: State, table: SpectrumTable, params: ModelParams) -> np.ndarray:
     when the high modes vanish.
     """
     validate_state(s, table)
-    return _q_from_grid(_synthesis(s.a, table), float(s.a[0]), table, params)
+    return _q_from_grid(_synthesis(s.a, table), float(s.a[0]), table)
 
 
-def _q_from_grid(g: np.ndarray, a0, table: SpectrumTable,
-                 params: ModelParams) -> np.ndarray:
-    p = params.p
+def _q_from_grid(g: np.ndarray, a0, table: SpectrumTable) -> np.ndarray:
+    p = table.params.p
     a0 = np.asarray(a0)[..., None]
     u_high = g - a0            # grid values of U; exactly zero for planar states
     integrand = _grid_power(g, 2 * p + 1) - a0 ** (2 * p + 1) \
@@ -154,7 +153,7 @@ def _q_from_grid(g: np.ndarray, a0, table: SpectrumTable,
     return _analysis(integrand, table)
 
 
-def energy_breakdown(s: State, table: SpectrumTable, params: ModelParams) -> EnergyBreakdown:
+def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     """All energy diagnostics of a state, each from its own definition.
 
     ``s`` may also hold a stack of samples, a and b shaped (S, modes);
@@ -162,15 +161,16 @@ def energy_breakdown(s: State, table: SpectrumTable, params: ModelParams) -> Ene
     """
     stacked = s.a.ndim == 2
     validate_state(s, table, stacked)
+    params = table.params
     m2, p = params.m ** 2, params.p
     a0 = s.a[..., 0]
 
     g = _synthesis(s.a, table)
-    H, mean_pow = _energy(s, g, table, params)
+    H, mean_pow = _energy(s, g, table)
     J = 0.5 * np.sum((table.lam_sq[1:] - m2) * s.a[..., 1:] ** 2 + s.b[..., 1:] ** 2, axis=-1)
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
     shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * np.sum(s.a[..., 1:] ** 2, axis=-1)
-    q = _q_from_grid(g, a0, table, params)
+    q = _q_from_grid(g, a0, table)
     values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift,
                   q_norm=np.linalg.norm(q[..., 1:], axis=-1), q0=q[..., 0],
                   f_a0=potential_f(a0, params))
@@ -193,7 +193,7 @@ def dist_x(s1: State, s2: State, table: SpectrumTable) -> float:
 
 
 def phi_diagnostic(s: State, s0_breakdown: EnergyBreakdown, eta: float,
-                   table: SpectrumTable, params: ModelParams) -> float:
+                   table: SpectrumTable) -> float:
     """Rescaled level drift phi with eta^5 phi = -2 (J - J(0)) - 2 (r - r(0)).
 
     Along exact trajectories started at (a0, b0) = (eta, 0) this satisfies
@@ -201,7 +201,7 @@ def phi_diagnostic(s: State, s0_breakdown: EnergyBreakdown, eta: float,
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    bd = energy_breakdown(s, table, params)
+    bd = energy_breakdown(s, table)
     return _phi(bd.J, bd.r, s0_breakdown.J, s0_breakdown.r, eta)
 
 
@@ -210,9 +210,9 @@ def _phi(J, r, J0: float, r0: float, eta: float):
     return (-2.0 * (J - J0) - 2.0 * (r - r0)) / eta ** 5
 
 
-def i_j_equivalence_bound(max_abs_a0: float, table: SpectrumTable,
-                          params: ModelParams) -> float:
+def i_j_equivalence_bound(max_abs_a0: float, table: SpectrumTable) -> float:
     """Computable constant with J <= I <= bound * J on states whose |a0|
     stays below max_abs_a0 (uses the spectral gap lambda_1^2 - m^2)."""
+    params = table.params
     gap = table.lambda_1 ** 2 - params.m ** 2
     return 1.0 + (2 * params.p + 1) * max_abs_a0 ** (2 * params.p) / gap

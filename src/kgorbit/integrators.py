@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NoCrossing, NonFiniteState
 from .hamiltonian import EnergyBreakdown, State, energy_breakdown, validate_state
-from .spectra import ModelParams, SpectrumTable, _project_power_raw
+from .spectra import SpectrumTable, _project_power_raw
 
 __all__ = [
     "StepperConfig", "SectionSpec", "Trajectory",
@@ -123,14 +123,13 @@ class Trajectory:
     events: list[tuple[float, State]]
     rejected: dict[str, int]
     table: SpectrumTable = field(repr=False)
-    params: ModelParams = field(repr=False)
 
     @functools.cached_property
     def energy(self) -> EnergyBreakdown:
         """Energy diagnostics of every sample; each field is an (S,) array."""
         rows = max(1, _CHUNK_VALUES // self.table.n_nodes)
         parts = [energy_breakdown(State(self.a[i:i + rows], self.b[i:i + rows]),
-                                  self.table, self.params)
+                                  self.table)
                  for i in range(0, len(self.times), rows)]
         columns = {}
         for f in fields(EnergyBreakdown):
@@ -139,18 +138,14 @@ class Trajectory:
             columns[f.name] = column
         return EnergyBreakdown(**columns)
 
-    def series(self, name: str) -> np.ndarray:
-        """One EnergyBreakdown field as an array over samples."""
-        return getattr(self.energy, name)
-
 
 class _LinearFlow:
     """Exact per-mode flow of the quadratic part over a fixed step, applied
     to stacks (members, modes); the coefficients are (1, modes) rows, so a
     one-member stack takes numpy's same-shape fast path."""
 
-    def __init__(self, table: SpectrumTable, params: ModelParams, dt: float):
-        w2 = table.lam_sq - params.m ** 2
+    def __init__(self, table: SpectrumTable, dt: float):
+        w2 = table.lam_sq - table.params.m ** 2
         c = np.empty_like(w2)
         s = np.empty_like(w2)   # coefficient of b in the a-update
         g = np.empty_like(w2)   # coefficient of a in the b-update
@@ -174,7 +169,7 @@ class _LinearFlow:
         return self.c * a + self.s * b, self.g * a + self.c * b
 
 
-def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams):
+def _stage(scheme: str, dt: float, table: SpectrumTable):
     """One step of ``scheme`` as a function (a, b, f) -> (a, b, f) on a
     stack (members, modes), with one kernel call per force evaluation for
     the whole stack.  Returns new arrays and leaves its inputs untouched.
@@ -182,9 +177,9 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams):
     the next step: ``split2`` opens with it (computing it when None) and
     returns the closing force, ``rk4`` ignores it and returns None.
     """
-    exponent = 2 * params.p + 1
+    exponent = 2 * table.params.p + 1
     if scheme == "split2":
-        flow = _LinearFlow(table, params, dt)
+        flow = _LinearFlow(table, dt)
         half = 0.5 * dt
 
         def split2(a, b, f=None):
@@ -197,7 +192,7 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams):
             return a, b, f
         return split2
 
-    w2 = (table.lam_sq - params.m ** 2)[None]
+    w2 = (table.lam_sq - table.params.m ** 2)[None]
 
     def db(av):
         out = -w2 * av
@@ -214,21 +209,20 @@ def _stage(scheme: str, dt: float, table: SpectrumTable, params: ModelParams):
     return rk4
 
 
-def _step(s: State, dt: float, table: SpectrumTable, params: ModelParams,
-          scheme: str) -> State:
+def _step(s: State, dt: float, table: SpectrumTable, scheme: str) -> State:
     validate_state(s, table)
-    a, b, _ = _stage(scheme, dt, table, params)(s.a[None], s.b[None])
+    a, b, _ = _stage(scheme, dt, table)(s.a[None], s.b[None])
     return State(a[0], b[0], s.t + dt)
 
 
-def split2_step(s: State, dt: float, table: SpectrumTable, params: ModelParams) -> State:
+def split2_step(s: State, dt: float, table: SpectrumTable) -> State:
     """One Strang step, kick(dt/2) o linear(dt) o kick(dt/2)."""
-    return _step(s, dt, table, params, "split2")
+    return _step(s, dt, table, "split2")
 
 
-def rk4_step(s: State, dt: float, table: SpectrumTable, params: ModelParams) -> State:
+def rk4_step(s: State, dt: float, table: SpectrumTable) -> State:
     """One classical Runge-Kutta step on the full vector field."""
-    return _step(s, dt, table, params, "rk4")
+    return _step(s, dt, table, "rk4")
 
 
 # Crossing refinement: |section residual| target and bisection budget.
@@ -237,8 +231,7 @@ _REFINE_MAX_ITER = 200
 
 
 def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
-                    table: SpectrumTable, params: ModelParams,
-                    scheme: str = "split2") -> tuple[float, State]:
+                    table: SpectrumTable, scheme: str = "split2") -> tuple[float, State]:
     """Bisect the sub-step length until |section residual| <= 1e-10.
 
     Each trial point is produced by one scheme step of the trial length
@@ -267,7 +260,7 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
         best, best_res = s_after, abs(r_hi)
         for _ in range(_REFINE_MAX_ITER):
             tau = 0.5 * (lo + hi)
-            candidate = step(s_before, tau, table, params)
+            candidate = step(s_before, tau, table)
             r_mid = section.residual(float(candidate.a[0]), float(candidate.b[0]))
             if abs(r_mid) < best_res:
                 best, best_res = candidate, abs(r_mid)
@@ -283,7 +276,7 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
                                  "stalled")
             candidate = best
             tau = candidate.t - s_before.t
-    if not section.admits(float(candidate.a[0]), float(candidate.b[0]), params.center):
+    if not section.admits(float(candidate.a[0]), float(candidate.b[0]), table.params.center):
         raise NoCrossing(f"crossing rejected by sign constraint {section.sign_constraint}",
                          "sign_constraint")
     return s_before.t + tau, candidate
@@ -314,17 +307,16 @@ class _Member:
         self.rows_a.append(a)
         self.rows_b.append(b)
 
-    def result(self, table: SpectrumTable, params: ModelParams) -> Trajectory | NonFiniteState:
+    def result(self, table: SpectrumTable) -> Trajectory | NonFiniteState:
         if self.error is not None:
             return self.error
         arrays = [np.array(self.times), np.array(self.rows_a), np.array(self.rows_b)]
         for arr in arrays:
             arr.flags.writeable = False
-        return Trajectory(*arrays, events=self.events, rejected=self.rejected,
-                          table=table, params=params)
+        return Trajectory(*arrays, events=self.events, rejected=self.rejected, table=table)
 
 
-def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
+def evolve_ensemble(states, cfgs, table: SpectrumTable,
                     max_events=None) -> list[Trajectory | NonFiniteState]:
     """Integrate a stack of members together, one kernel call per force
     evaluation for the whole stack.
@@ -351,7 +343,7 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
         max_events = [max_events] * len(states)
     members = [_Member(s, c, limit) for s, c, limit in zip(states, cfgs, max_events)]
     dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
-    stage = _stage(scheme, dt, table, params)
+    stage = _stage(scheme, dt, table)
     ends: dict[int, list[int]] = {}
     for k, m in enumerate(members):
         ends.setdefault(m.horizon, []).append(k)
@@ -391,7 +383,7 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
                         m.events.append(refine_crossing(
                             State(prev_a[r].copy(), prev_b[r].copy(), t - dt),
                             State(a[r].copy(), b[r].copy(), t),
-                            m.section, table, params, scheme=scheme))
+                            m.section, table, scheme=scheme))
                     except NoCrossing as exc:
                         m.rejected[exc.reason] += 1
                     if m.limit is not None and len(m.events) >= m.limit:
@@ -420,11 +412,11 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, params: ModelParams,
             if f is not None:
                 f = f[keep]
 
-    return [m.result(table, params) for m in members]
+    return [m.result(table) for m in members]
 
 
 def evolve(s0: State, cfg: StepperConfig, table: SpectrumTable,
-           params: ModelParams, max_events: int | None = None) -> Trajectory:
+           max_events: int | None = None) -> Trajectory:
     """Integrate to cfg.max_time with fixed steps.
 
     States are recorded every ``sample_stride`` steps (plus the final
@@ -435,7 +427,7 @@ def evolve(s0: State, cfg: StepperConfig, table: SpectrumTable,
     coefficients blow up (checked at sample resolution; NaN persists).
     The single-member case of ``evolve_ensemble``.
     """
-    out = evolve_ensemble([s0], [cfg], table, params, max_events)[0]
+    out = evolve_ensemble([s0], [cfg], table, max_events)[0]
     if isinstance(out, NonFiniteState):
         raise out
     return out

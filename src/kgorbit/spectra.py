@@ -93,7 +93,9 @@ class Mode:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Immutable eigenbasis table; safe to share across concurrent runs."""
+    """Immutable eigenbasis table; safe to share across concurrent runs.
+    ``params`` is the model the grid is dealiased for, and every function
+    that takes a table reads m and p from it."""
 
     params: ModelParams
     modes: tuple[Mode, ...]

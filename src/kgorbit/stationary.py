@@ -331,8 +331,7 @@ def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
     return PlanarState(pa, pb)
 
 
-def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
-                  params: ModelParams):
+def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable):
     """Energy-space distance from a full state to the planar loop.
 
     The constant-mode pair is projected onto the level set and the
@@ -344,6 +343,7 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable,
     case.
     """
     stacked = s.a.ndim == 2
+    params = table.params
     a, b = (s.a, s.b) if stacked else (s.a[None], s.b[None])
     a0, b0 = a[:, 0], b[:, 0]
     high_a = np.einsum("ij,ij,j->i", a[:, 1:], a[:, 1:], 1.0 + table.lam_sq[1:])

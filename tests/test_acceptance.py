@@ -69,10 +69,10 @@ def return_sweep(table_k8, params_k8):
         for seed in SEEDS:
             spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                     distribution="random_direction", seed=seed)
-            s0 = perturb_near_orbit(eta, spec, table_k8, params_k8)
-            j0 = energy_breakdown(s0, table_k8, params_k8).J
-            h0 = hamiltonian(s0, table_k8, params_k8)
-            res = run_first_return(s0, eta, band, cfg, table_k8, params_k8)
+            s0 = perturb_near_orbit(eta, spec, table_k8)
+            j0 = energy_breakdown(s0, table_k8).J
+            h0 = hamiltonian(s0, table_k8)
+            res = run_first_return(s0, eta, band, cfg, table_k8)
             rows.append({"eta": eta, "seed": seed, "T": res.return_time,
                          "distance": res.distance, "J0": j0,
                          "J_ret": res.J_at_return, "H0": h0})
@@ -85,7 +85,7 @@ def test_criterion_01_homoclinic_oracle(table_k1, params_k1):
     start = homoclinic(-5.0, params_k1)
     cfg = StepperConfig(dt=1e-4, scheme="rk4", max_time=10.0, sample_stride=100)
     traj = evolve(planar_state(table_k1, start.a0, start.b0, t=-5.0), cfg,
-                  table_k1, params_k1)
+                  table_k1)
     sup = 0.0
     for t, a, b in zip(traj.times, traj.a, traj.b):
         ref = homoclinic(t, params_k1)
@@ -108,7 +108,7 @@ def test_criterion_03_period_equivalence(table_k1, params_k1):
                           sign_constraint="a0_left_of_center")
         cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=10 * T_quad,
                             sample_stride=10 ** 6, section=sec)
-        traj = evolve(planar_state(table_k1, eta), cfg, table_k1, params_k1,
+        traj = evolve(planar_state(table_k1, eta), cfg, table_k1,
                       max_events=1)
         rel = abs(traj.events[0][0] - T_quad) / T_quad
         worst = max(worst, rel)
@@ -127,17 +127,17 @@ def test_criterion_04_logarithmic_period_law(params_k1):
                   f"{rel_to_rate:.2%}), B = {fit['intercept']:.4f}, R^2 = {r_sq:.6f}")
 
 
-def test_criterion_05_energy_conservation(table_k8, params_k8):
+def test_criterion_05_energy_conservation(table_k8):
     # split2 at dt = 1e-3 over T = 1000 on a perturbed state: least-squares
     # drift slope of H(t) - H(0) at most 1e-10 per unit time
     eta = 0.1
     spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                             distribution="random_direction", seed=1)
-    s0 = perturb_near_orbit(eta, spec, table_k8, params_k8)
+    s0 = perturb_near_orbit(eta, spec, table_k8)
     cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=1000.0,
                         sample_stride=1000)
-    traj = evolve(s0, cfg, table_k8, params_k8)
-    h = traj.series("H")
+    traj = evolve(s0, cfg, table_k8)
+    h = traj.energy.H
     slope = linear_fit(traj.times, h - h[0])["slope"]
     amp = float(np.abs(h - h[0]).max())
     report(5, abs(slope) <= 1e-10,
@@ -170,8 +170,8 @@ def test_criterion_07_many_loop_confinement(return_sweep, table_k8, params_k8):
     for seed in SEEDS:
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=seed)
-        s0 = perturb_near_orbit(eta, spec, table_k8, params_k8)
-        rep = run_many_loops(s0, eta, band, budget, cfg, table_k8, params_k8,
+        s0 = perturb_near_orbit(eta, spec, table_k8)
+        rep = run_many_loops(s0, eta, band, budget, cfg, table_k8,
                              dist_coefficient=c6)
         j_ok_all &= rep.j_within_regime and rep.completed_loops == budget
         dist_ok_all &= bool(rep.dist_within_bound)
@@ -217,32 +217,32 @@ def test_criterion_09_floquet_structure(params_k1):
                   f"halving = {worst_change:.2e} (tol 1e-6)")
 
 
-def test_criterion_10_gradient_check(table_k1, params_k1):
+def test_criterion_10_gradient_check(table_k1):
     rng = np.random.default_rng(2026)
     h = 1e-6
     worst = 0.0
     for _ in range(100):
         s = State(rng.standard_normal(table_k1.mode_count),
                   rng.standard_normal(table_k1.mode_count))
-        deriv = rhs(s, table_k1, params_k1)
+        deriv = rhs(s, table_k1)
         assert np.all(deriv.a == s.b)  # dH/db_n = b_n trivially
         for n in range(table_k1.mode_count):
             sp, sm = s.copy(), s.copy()
             sp.a[n] += h
             sm.a[n] -= h
-            fd = -(hamiltonian(sp, table_k1, params_k1)
-                   - hamiltonian(sm, table_k1, params_k1)) / (2 * h)
+            fd = -(hamiltonian(sp, table_k1)
+                   - hamiltonian(sm, table_k1)) / (2 * h)
             denom = max(abs(fd), 1e-3)
             worst = max(worst, abs(deriv.b[n] - fd) / denom)
     report(10, worst <= 1e-6,
            f"max relative gap rhs vs central differences = {worst:.3e} (tol 1e-6)")
 
 
-def test_criterion_11_invariant_plane(table_k8, params_k8):
+def test_criterion_11_invariant_plane(table_k8):
     # planar start: the nonconstant modes stay exactly zero for 1e6 steps
     cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=1000.0,
                         sample_stride=1000)
-    traj = evolve(planar_state(table_k8, 0.1), cfg, table_k8, params_k8)
+    traj = evolve(planar_state(table_k8, 0.1), cfg, table_k8)
     n_steps = int(round(cfg.max_time / cfg.dt))
     worst = max(float(np.sum(a[1:] ** 2 + b[1:] ** 2)) for a, b in zip(traj.a, traj.b))
     report(11, worst == 0.0 and n_steps == 10 ** 6,

@@ -1,0 +1,40 @@
+"""Shape of the public API and the README's library example."""
+
+import importlib
+import inspect
+import os
+import re
+
+import pytest
+
+MODULES = ("spectra", "hamiltonian", "integrators", "stationary", "experiments", "cli")
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def public_callables(name):
+    """The module's ``__all__``, or the public names it defines when it has none."""
+    module = importlib.import_module(f"kgorbit.{name}")
+    names = getattr(module, "__all__", None) or [
+        n for n, obj in vars(module).items()
+        if not n.startswith("_") and getattr(obj, "__module__", None) == module.__name__]
+    return [(n, getattr(module, n)) for n in names
+            if inspect.isfunction(getattr(module, n)) or inspect.isclass(getattr(module, n))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_callable_takes_both_table_and_params(module):
+    # the table carries its model, so a second source of it could disagree
+    both = [name for name, obj in public_callables(module)
+            if {"table", "params"} <= set(inspect.signature(obj).parameters)]
+    assert both == []
+
+
+def test_readme_quick_start_runs(capsys):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("True ")

@@ -25,44 +25,44 @@ def base_state(table, eta):
 
 
 class TestPerturbNearOrbit:
-    def test_zero_amplitude_returns_base(self, table8, params8):
+    def test_zero_amplitude_returns_base(self, table8):
         spec = PerturbationSpec(amplitude=0.0, mode_set=())
-        s = perturb_near_orbit(0.1, spec, table8, params8)
+        s = perturb_near_orbit(0.1, spec, table8)
         assert s.a[0] == 0.1 and np.all(s.a[1:] == 0) and np.all(s.b == 0)
 
-    def test_single_mode_layout(self, table8, params8):
+    def test_single_mode_layout(self, table8):
         eps = 1e-4
         spec = PerturbationSpec(amplitude=eps, mode_set=(1,), distribution="single_mode")
-        s = perturb_near_orbit(0.1, spec, table8, params8)
+        s = perturb_near_orbit(0.1, spec, table8)
         assert s.a[1] == pytest.approx(eps / math.sqrt(1 + 4 * math.pi ** 2), rel=1e-13)
         assert np.all(s.b == 0.0)
 
-    def test_exact_amplitude(self, table8, params8):
+    def test_exact_amplitude(self, table8):
         base = base_state(table8, 0.1)
         for dist_name, seed in (("equipartition", None), ("single_mode", None),
                                 ("random_direction", 11)):
             spec = PerturbationSpec(amplitude=1e-3, mode_set=tuple(range(1, 9)),
                                     distribution=dist_name, seed=seed)
-            s = perturb_near_orbit(0.1, spec, table8, params8)
+            s = perturb_near_orbit(0.1, spec, table8)
             assert abs(dist_x(s, base, table8) - 1e-3) < 1e-12 * 1e-3 + 1e-15
 
-    def test_deterministic_in_seed(self, table8, params8):
+    def test_deterministic_in_seed(self, table8):
         spec = PerturbationSpec(amplitude=1e-3, mode_set=(1, 2, 3),
                                 distribution="random_direction", seed=42)
-        s1 = perturb_near_orbit(0.1, spec, table8, params8)
-        s2 = perturb_near_orbit(0.1, spec, table8, params8)
+        s1 = perturb_near_orbit(0.1, spec, table8)
+        s2 = perturb_near_orbit(0.1, spec, table8)
         assert np.array_equal(s1.a, s2.a) and np.array_equal(s1.b, s2.b)
 
-    def test_empty_mode_set(self, table8, params8):
+    def test_empty_mode_set(self, table8):
         with pytest.raises(EmptyModeSet):
             perturb_near_orbit(0.1, PerturbationSpec(amplitude=1e-3, mode_set=()),
-                               table8, params8)
+                               table8)
 
-    def test_seed_required_for_random(self, table8, params8):
+    def test_seed_required_for_random(self, table8):
         spec = PerturbationSpec(amplitude=1e-3, mode_set=(1,),
                                 distribution="random_direction")
         with pytest.raises(ValidationError):
-            perturb_near_orbit(0.1, spec, table8, params8)
+            perturb_near_orbit(0.1, spec, table8)
 
     def test_energy_close_to_loop_level(self, table8, params8):
         # perturbed energy is -m^2 eta^2/2 + O(eta^3); here the gap decays
@@ -72,8 +72,8 @@ class TestPerturbNearOrbit:
         for eta in etas:
             spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                     distribution="equipartition")
-            s = perturb_near_orbit(eta, spec, table8, params8)
-            gaps.append(abs(hamiltonian(s, table8, params8)
+            s = perturb_near_orbit(eta, spec, table8)
+            gaps.append(abs(hamiltonian(s, table8)
                             + 0.5 * params8.m ** 2 * eta ** 2))
         fit = power_law_fit(etas, gaps)
         assert fit["exponent"] >= 3.0
@@ -84,7 +84,7 @@ class TestFirstReturn:
         eta = 0.1
         band = default_band(params8)
         s0 = base_state(table8, eta)
-        res = run_first_return(s0, eta, band, cfg, table8, params8)
+        res = run_first_return(s0, eta, band, cfg, table8)
         T = period(eta, params8)
         assert abs(res.return_time - T) <= 1e-6 * T
         assert res.distance <= 1e-8
@@ -95,9 +95,9 @@ class TestFirstReturn:
         band = default_band(params8)
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=3)
-        s0 = perturb_near_orbit(eta, spec, table8, params8)
-        j0 = energy_breakdown(s0, table8, params8).J
-        res = run_first_return(s0, eta, band, cfg, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8)
+        j0 = energy_breakdown(s0, table8).J
+        res = run_first_return(s0, eta, band, cfg, table8)
         assert 0.0 < res.distance < eta ** 2
         assert res.J_at_return <= 50.0 * j0
         # the section pins the start coordinate at the return point
@@ -111,10 +111,10 @@ class TestFirstReturn:
         starts = [perturb_near_orbit(
             eta, PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                   distribution="random_direction", seed=seed),
-            table8, params8) for eta, seed in zip(etas, (1, 2, 1, 1))]
-        stacked = run_first_returns(starts, etas, band, cfg, table8, params8)
+            table8) for eta, seed in zip(etas, (1, 2, 1, 1))]
+        stacked = run_first_returns(starts, etas, band, cfg, table8)
         for s0, eta, got in zip(starts, etas, stacked):
-            ref = run_first_return(s0, eta, band, cfg, table8, params8)
+            ref = run_first_return(s0, eta, band, cfg, table8)
             for name in ("return_time", "distance", "J_at_return"):
                 assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-9)
 
@@ -129,11 +129,11 @@ class TestFirstReturn:
         band = default_band(params8)
         etas = [0.1, 0.05]
         out = run_first_returns([base_state(table8, e) for e in etas], etas, band, cfg,
-                                table8, params8)
+                                table8)
         assert isinstance(out[1], NoReturn)
         assert out[0].return_time == pytest.approx(period(0.1, params8), rel=1e-5)
         with pytest.raises(NoReturn):
-            run_first_return(base_state(table8, 0.05), 0.05, band, cfg, table8, params8)
+            run_first_return(base_state(table8, 0.05), 0.05, band, cfg, table8)
 
 
 class TestManyLoops:
@@ -141,7 +141,7 @@ class TestManyLoops:
         eta = 0.05
         band = default_band(params8)
         report = run_many_loops(base_state(table8, eta), eta, band, 3, cfg,
-                                table8, params8)
+                                table8)
         assert report.completed_loops == 3
         assert report.j_within_regime
         assert report.per_loop_growth == []
@@ -154,8 +154,8 @@ class TestManyLoops:
         band = default_band(params8)
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=1)
-        s0 = perturb_near_orbit(eta, spec, table8, params8)
-        report = run_many_loops(s0, eta, band, 2, cfg, table8, params8,
+        s0 = perturb_near_orbit(eta, spec, table8)
+        report = run_many_loops(s0, eta, band, 2, cfg, table8,
                                 dist_coefficient=1.0)
         assert report.completed_loops == 2
         assert report.j_within_regime
@@ -181,8 +181,8 @@ class TestManyLoops:
         eta = 0.05
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=1)
-        s0 = perturb_near_orbit(eta, spec, table8, params8)
-        report = run_many_loops(s0, eta, default_band(params8), 1, cfg, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8)
+        report = run_many_loops(s0, eta, default_band(params8), 1, cfg, table8)
         assert report.completed_loops == 1
         assert report.max_dist_to_orbit > 0
 
@@ -193,8 +193,8 @@ class TestManyLoops:
                                 distribution="random_direction", seed=9)
 
         def one():
-            s0 = perturb_near_orbit(eta, spec, table8, params8)
-            return run_many_loops(s0, eta, band, 2, cfg, table8, params8)
+            s0 = perturb_near_orbit(eta, spec, table8)
+            return run_many_loops(s0, eta, band, 2, cfg, table8)
 
         r1, r2 = one(), one()
         assert [r.return_time for r in r1.loop_records] \
@@ -207,7 +207,7 @@ class TestManyLoops:
         eta = 0.05
         band = default_band(params8)
         report = run_many_loops(base_state(table8, eta), eta, band, 3, cfg,
-                                table8, params8)
+                                table8)
         fit = report.fits["cumulative_time_vs_loop"]
         # slope of cumulative time per loop is one loop period ~ A ln(1/eta)
         assert fit["slope"] == pytest.approx(period(eta, params8), rel=1e-4)
@@ -228,8 +228,8 @@ class TestDiagnostics:
         eta = 0.05
         band = default_band(params8)
         res = run_first_return(base_state(table8, eta), eta, band, cfg,
-                               table8, params8)
-        chk = bound_check_I(res.trajectory, params8)
+                               table8)
+        chk = bound_check_I(res.trajectory)
         assert chk.vacuous and chk.c_max is None
 
     def test_bound_check_stable_under_refinement(self, table8, params8):
@@ -241,9 +241,9 @@ class TestDiagnostics:
         def c_for(stride):
             cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=100.0,
                                 sample_stride=stride)
-            s0 = perturb_near_orbit(eta, spec, table8, params8)
-            res = run_first_return(s0, eta, band, cfg, table8, params8)
-            return bound_check_I(res.trajectory, params8).c_max
+            s0 = perturb_near_orbit(eta, spec, table8)
+            res = run_first_return(s0, eta, band, cfg, table8)
+            return bound_check_I(res.trajectory).c_max
 
         c1, c2 = c_for(40), c_for(20)
         assert c1 is not None and c2 is not None
@@ -255,8 +255,8 @@ class TestDiagnostics:
         band = default_band(params8)
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=2)
-        s0 = perturb_near_orbit(eta, spec, table8, params8)
-        res = run_first_return(s0, eta, band, cfg, table8, params8)
+        s0 = perturb_near_orbit(eta, spec, table8)
+        res = run_first_return(s0, eta, band, cfg, table8)
         fit = phi_envelope_fit(res.trajectory, eta)
         assert fit["phi"][0] == 0.0
         assert np.isfinite(fit["C"]) and fit["C"] >= 0.0

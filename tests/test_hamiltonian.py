@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kgorbit import (DimensionMismatch, State, dist_x, energy_breakdown,
-                     f_prime, force, hamiltonian, phi_diagnostic, potential_f,
-                     q_vector, rhs, xnorm)
+from kgorbit import (DimensionMismatch, ModelParams, State, build_spectrum,
+                     dist_x, energy_breakdown, f_prime, force, hamiltonian,
+                     phi_diagnostic, potential_f, q_vector, rhs, xnorm)
 from kgorbit.hamiltonian import i_j_equivalence_bound
 
 
@@ -38,63 +38,63 @@ class TestPotential:
 
 
 class TestHamiltonian:
-    def test_zero_state(self, table, params):
-        assert hamiltonian(make_state(table), table, params) == 0.0
+    def test_zero_state(self, table):
+        assert hamiltonian(make_state(table), table) == 0.0
 
-    def test_planar_value(self, table, params):
+    def test_planar_value(self, table):
         # H of (eta, 0) is f(eta)/2
         s = make_state(table, a0=0.1)
-        assert hamiltonian(s, table, params) == pytest.approx(-0.001225, rel=1e-13)
+        assert hamiltonian(s, table) == pytest.approx(-0.001225, rel=1e-13)
 
     def test_separatrix_tip_has_zero_energy(self, table, params):
         s = make_state(table, a0=params.separatrix_amplitude)
-        assert hamiltonian(s, table, params) == pytest.approx(0.0, abs=1e-15)
+        assert hamiltonian(s, table) == pytest.approx(0.0, abs=1e-15)
 
-    def test_gradient_consistency(self, table, params, rng):
+    def test_gradient_consistency(self, table, rng):
         # rhs must agree with central finite differences of H (step 1e-6)
         h = 1e-6
         for _ in range(20):
             s = random_state(table, rng)
-            deriv = rhs(s, table, params)
+            deriv = rhs(s, table)
             assert np.all(deriv.a == s.b)
             for n in range(table.mode_count):
                 sp, sm = s.copy(), s.copy()
                 sp.a[n] += h
                 sm.a[n] -= h
-                fd = -(hamiltonian(sp, table, params) - hamiltonian(sm, table, params)) / (2 * h)
+                fd = -(hamiltonian(sp, table) - hamiltonian(sm, table)) / (2 * h)
                 assert deriv.b[n] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    def test_invariant_plane_exact(self, table, params):
+    def test_invariant_plane_exact(self, table):
         s = make_state(table, a0=0.3, b0=0.2)
-        deriv = rhs(s, table, params)
+        deriv = rhs(s, table)
         assert np.all(deriv.a[1:] == 0.0)
         assert np.all(deriv.b[1:] == 0.0)
 
     def test_planar_rhs_values(self, table, params):
         s = make_state(table, a0=params.center)
-        deriv = rhs(s, table, params)
+        deriv = rhs(s, table)
         assert abs(deriv.b[0]) < 1e-16
         eta = 0.05
         s = make_state(table, a0=eta)
-        assert rhs(s, table, params).b[0] == pytest.approx(
+        assert rhs(s, table).b[0] == pytest.approx(
             params.m ** 2 * eta - eta ** 3, rel=1e-13)
-        assert rhs(s, table, params).b[0] > 0
+        assert rhs(s, table).b[0] > 0
 
 
 class TestCouplingRemainder:
-    def test_zero_for_planar(self, table, params):
-        q = q_vector(make_state(table, a0=0.4, b0=0.1), table, params)
+    def test_zero_for_planar(self, table):
+        q = q_vector(make_state(table, a0=0.4, b0=0.1), table)
         assert np.all(q == 0.0)
 
-    def test_reduces_to_power_projection_at_a0_zero(self, table, params, rng):
+    def test_reduces_to_power_projection_at_a0_zero(self, table, rng):
         from kgorbit import project_power
         a = np.zeros(table.mode_count)
         a[1:] = 0.1 * rng.standard_normal(table.mode_count - 1)
         s = State(a, np.zeros(table.mode_count))
-        q = q_vector(s, table, params)
+        q = q_vector(s, table)
         assert np.abs(q - project_power(a, 3, table)).max() < 1e-15
 
-    def test_quadratic_smallness(self, table, params, rng):
+    def test_quadratic_smallness(self, table, rng):
         # ||q|| <= C J with a ratio that stabilises as the amplitude shrinks
         def max_ratio(amp):
             worst = 0.0
@@ -105,8 +105,8 @@ class TestCouplingRemainder:
                 a[1:] = amp * rng.standard_normal(table.mode_count - 1)
                 b[1:] = amp * rng.standard_normal(table.mode_count - 1)
                 s = State(a, b)
-                bd = energy_breakdown(s, table, params)
-                worst = max(worst, np.linalg.norm(q_vector(s, table, params)) / bd.J)
+                bd = energy_breakdown(s, table)
+                worst = max(worst, np.linalg.norm(q_vector(s, table)) / bd.J)
             return worst
 
         r_coarse, r_fine = max_ratio(1e-2), max_ratio(1e-3)
@@ -115,29 +115,29 @@ class TestCouplingRemainder:
 
 
 class TestEnergyBreakdown:
-    def test_single_mode_J(self, table, params):
+    def test_single_mode_J(self, table):
         s = make_state(table)
         s.a[1] = 1e-3
-        bd = energy_breakdown(s, table, params)
+        bd = energy_breakdown(s, table)
         expect = 0.5 * (4 * math.pi ** 2 - 0.25) * 1e-6
         assert bd.J == pytest.approx(expect, rel=1e-13)
 
-    def test_I_shift(self, table, params):
+    def test_I_shift(self, table):
         s = make_state(table, a0=0.1)
         s.a[1] = 1e-3
-        bd = energy_breakdown(s, table, params)
+        bd = energy_breakdown(s, table)
         assert bd.I == pytest.approx(bd.J + 0.5 * 3 * 0.1 ** 2 * 1e-6, rel=1e-13)
         assert bd.I >= bd.J
 
-    def test_planar_remainders_vanish(self, table, params):
-        bd = energy_breakdown(make_state(table, a0=0.2, b0=0.3), table, params)
+    def test_planar_remainders_vanish(self, table):
+        bd = energy_breakdown(make_state(table, a0=0.2, b0=0.3), table)
         assert bd.r == 0.0 and bd.r_hat == 0.0 and bd.q_norm == 0.0 and bd.q0 == 0.0
 
-    def test_decomposition_identities(self, table, params, rng):
+    def test_decomposition_identities(self, table, rng):
         for _ in range(10):
             s = random_state(table, rng)
-            bd = energy_breakdown(s, table, params)
-            H = hamiltonian(s, table, params)
+            bd = energy_breakdown(s, table)
+            H = hamiltonian(s, table)
             a0, b0 = s.a[0], s.b[0]
             lhs1 = 0.5 * b0 ** 2 + 0.5 * bd.f_a0 + bd.J + bd.r
             lhs2 = 0.5 * b0 ** 2 + 0.5 * bd.f_a0 + bd.I + bd.r_hat
@@ -146,12 +146,24 @@ class TestEnergyBreakdown:
             assert abs(lhs2 - H) < 1e-12 * scale
             assert bd.J >= 0.0
 
-    def test_equivalence_bound_holds(self, table, params, rng):
+    def test_equivalence_bound_holds(self, table, rng):
         for _ in range(10):
             s = random_state(table, rng, scale=0.2)
-            bd = energy_breakdown(s, table, params)
-            k0 = i_j_equivalence_bound(abs(s.a[0]), table, params)
+            bd = energy_breakdown(s, table)
+            k0 = i_j_equivalence_bound(abs(s.a[0]), table)
             assert bd.J <= bd.I <= k0 * bd.J + 1e-18
+
+
+class TestModelFromTable:
+    def test_kernel_exponent_and_energy_follow_the_table(self):
+        # p = 2, m = 0.3 differs from every fixture: the force and the
+        # energy must come from the table's own model
+        table = build_spectrum(ModelParams(m=0.3, p=2, dim=1, cutoff=4))
+        a0, b0 = 0.4, 0.1
+        s = make_state(table, a0=a0, b0=b0)
+        assert rhs(s, table).b[0] == pytest.approx(force(a0, table.params), rel=1e-15)
+        assert energy_breakdown(s, table).H == pytest.approx(
+            0.5 * b0 ** 2 + 0.5 * potential_f(a0, table.params), rel=1e-15)
 
 
 class TestXNorm:
@@ -177,16 +189,16 @@ class TestXNorm:
 
 
 class TestPhiDiagnostic:
-    def test_zero_at_start(self, table, params):
+    def test_zero_at_start(self, table):
         s = make_state(table, a0=0.1)
-        bd0 = energy_breakdown(s, table, params)
-        assert phi_diagnostic(s, bd0, 0.1, table, params) == 0.0
+        bd0 = energy_breakdown(s, table)
+        assert phi_diagnostic(s, bd0, 0.1, table) == 0.0
 
-    def test_planar_runs_have_zero_phi(self, table, params):
+    def test_planar_runs_have_zero_phi(self, table):
         from kgorbit import StepperConfig, evolve
         s0 = make_state(table, a0=0.1)
-        bd0 = energy_breakdown(s0, table, params)
+        bd0 = energy_breakdown(s0, table)
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=5.0, sample_stride=500)
-        traj = evolve(s0, cfg, table, params)
+        traj = evolve(s0, cfg, table)
         for a, b in zip(traj.a, traj.b):
-            assert phi_diagnostic(State(a, b), bd0, 0.1, table, params) == 0.0
+            assert phi_diagnostic(State(a, b), bd0, 0.1, table) == 0.0

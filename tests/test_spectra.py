@@ -219,7 +219,7 @@ class TestFactorisedTransforms:
                           _dense_analysis(g_ref, table))
             _assert_close(project_power(a, 3, table), _dense_analysis(g_ref ** 3, table))
 
-            bd = energy_breakdown(State(a, b), table, params)
+            bd = energy_breakdown(State(a, b), table)
             m2, a0 = params.m ** 2, a[0]
             mean_pow = np.mean(g_ref ** 4)
             q_ref = _dense_analysis(g_ref ** 3 - a0 ** 3 - 3 * a0 ** 2 * (g_ref - a0), table)
@@ -236,7 +236,7 @@ class TestFactorisedTransforms:
         a[0] = 0.37
         s = State(a, np.zeros(table.mode_count))
         assert np.all(project_power(a, 3, table)[1:] == 0.0)
-        assert np.all(q_vector(s, table, params)[1:] == 0.0)
+        assert np.all(q_vector(s, table)[1:] == 0.0)
 
     def test_3d_k8_table_beyond_dense_reach(self, rng):
         # the dense basis pair would take 2.8 GB here
@@ -275,11 +275,11 @@ class TestStackedTransforms:
         a[2, 1:] = b[2, 1:] = 0.0       # one planar member
         stacked = _project_power_raw(a, 3, table)
         grids = _synthesis(a, table)
-        stacked_bd = energy_breakdown(State(a, b), table, params)
+        stacked_bd = energy_breakdown(State(a, b), table)
         for row in range(5):
             _assert_close(stacked[row], project_power(a[row], 3, table))
             _assert_close(grids[row], to_grid(a[row], table).reshape(-1))
-            single_bd = energy_breakdown(State(a[row], b[row]), table, params)
+            single_bd = energy_breakdown(State(a[row], b[row]), table)
             for f in dataclasses.fields(single_bd):
                 assert getattr(stacked_bd, f.name)[row] == pytest.approx(
                     getattr(single_bd, f.name), rel=1e-13, abs=1e-15)

@@ -77,7 +77,7 @@ class TestPeriod:
         sec = SectionSpec(kind="b0_equals", level=0.0, sign_constraint="a0_left_of_center")
         cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=10 * period(eta, params),
                             sample_stride=10 ** 6, section=sec)
-        traj = evolve(State(a, np.zeros(table.mode_count)), cfg, table, params,
+        traj = evolve(State(a, np.zeros(table.mode_count)), cfg, table,
                       max_events=1)
         assert abs(traj.events[0][0] - period(eta, params)) < 1e-4 * period(eta, params)
 
@@ -205,13 +205,13 @@ class TestDistToOrbit:
         a = np.zeros(table.mode_count)
         a[0] = 0.1
         assert dist_to_orbit(State(a, np.zeros(table.mode_count)), 0.1, band,
-                             table, params) == 0.0
+                             table) == 0.0
 
     def test_single_mode_offset(self, table, params):
         band = default_band(params)
         a = np.zeros(table.mode_count)
         a[0], a[1] = 0.1, 1e-4
-        d = dist_to_orbit(State(a, np.zeros(table.mode_count)), 0.1, band, table, params)
+        d = dist_to_orbit(State(a, np.zeros(table.mode_count)), 0.1, band, table)
         assert d == pytest.approx(1e-4 * math.sqrt(1 + 4 * math.pi ** 2), rel=1e-12)
 
     def test_against_brute_force(self, table, params, rng):
@@ -239,7 +239,7 @@ class TestDistToOrbit:
             b[0] = rng.uniform(-1e-3, 1e-3)
             a[1:3] = 1e-4 * rng.standard_normal(2)
             s = State(a, b)
-            d_proj = dist_to_orbit(s, 0.1, band, table, params)
+            d_proj = dist_to_orbit(s, 0.1, band, table)
             assert _project(a[:1], b[:1], 0.1, band, params)[2].all()
             high_a = float(np.sum((1 + table.lam_sq[1:]) * a[1:] ** 2))
 
@@ -273,7 +273,7 @@ class TestDistToOrbit:
             return sample(*args)
 
         monkeypatch.setattr(stationary, "sample_orbit", counted)
-        d = dist_to_orbit(State(a, b), 0.3, band, table, params)
+        d = dist_to_orbit(State(a, b), 0.3, band, table)
         assert len(calls) == 1
         assert d > 0
 
@@ -351,7 +351,7 @@ class TestStackedDistance:
         band = default_band(params)
         orbit = sample_orbit(0.1, 4096, params)
         s = self._stack(self.PLANAR, table, rng)
-        d = dist_to_orbit(s, 0.1, band, table, params)
+        d = dist_to_orbit(s, 0.1, band, table)
         # the rule dist_to_orbit uses to pick each row's route
         defined = _project(s.a[:, 0], s.b[:, 0], 0.1, band, params)[2]
         path = np.where(defined, "projection", "samples")
@@ -362,7 +362,7 @@ class TestStackedDistance:
             assert path[i] == ref_path
             assert abs(d[i] - ref) <= 1e-14
             # the one-state call is the one-row case of the stack
-            assert dist_to_orbit(row, 0.1, band, table, params) == d[i]
+            assert dist_to_orbit(row, 0.1, band, table) == d[i]
         assert list(path).count("samples") == 1
 
     def test_p2_rows_match_scalar_reference(self, rng):
@@ -373,7 +373,7 @@ class TestStackedDistance:
         # center 0.707, band [0.354, 0.803]: both branches and the band
         planar = [(0.2, 1e-2), (0.5, -1e-2), (0.85, 2e-2), (0.95, -2e-2)]
         s = self._stack(planar, t2, rng)
-        d = dist_to_orbit(s, 0.3, band, t2, p2)
+        d = dist_to_orbit(s, 0.3, band, t2)
         for i in range(len(planar)):
             ref, path = scalar_dist_to_orbit(State(s.a[i], s.b[i]), 0.3, band, t2, p2)
             assert path == "projection"
