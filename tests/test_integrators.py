@@ -6,7 +6,8 @@ import pytest
 from kgorbit import (NoCrossing, NonFiniteState, SectionSpec, State,
                      StepperConfig, dist_x, evolve, evolve_ensemble, homoclinic,
                      period, refine_crossing, rk4_step, split2_step)
-from kgorbit.integrators import _LinearFlow
+from kgorbit.integrators import _LinearFlow, _stage
+from kgorbit.spectra import _project_power_raw
 
 
 def planar(table, a0, b0=0.0, t=0.0):
@@ -19,6 +20,35 @@ def planar(table, a0, b0=0.0, t=0.0):
 def last(traj):
     """The final sample of a trajectory as a State."""
     return State(traj.a[-1], traj.b[-1], float(traj.times[-1]))
+
+
+def rk4_reference(dt, table):
+    """Classical RK4 on the full vector field, one force evaluation per
+    stage: the four-call form the paired stage must reproduce."""
+    exponent = 2 * table.params.p + 1
+    w2 = (table.lam_sq - table.params.m ** 2)[None]
+
+    def db(av):
+        out = -w2 * av
+        out -= _project_power_raw(av, exponent, table)
+        return out
+
+    def rk4(a, b):
+        k1a, k1b = b, db(a)
+        k2a, k2b = b + 0.5 * dt * k1b, db(a + 0.5 * dt * k1a)
+        k3a, k3b = b + 0.5 * dt * k2b, db(a + 0.5 * dt * k2a)
+        k4a, k4b = b + dt * k3b, db(a + dt * k3a)
+        return (a + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
+                b + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b))
+    return rk4
+
+
+_RK4_STACKS = [
+    (dict(m=0.5, p=1, dim=1, cutoff=8), 1),
+    (dict(m=0.5, p=1, dim=1, cutoff=8), 12),
+    (dict(m=0.5, p=1, dim=2, cutoff=3, periods=(2.0, 0.5)), 12),
+    (dict(m=0.5, p=1, dim=3, cutoff=2, periods=(1.0, 1.0, 1.0)), 12),
+]
 
 
 class TestSingleSteps:
@@ -62,6 +92,20 @@ class TestSingleSteps:
         assert 3.3 < ratio2 < 4.7
         assert 13.0 < ratio4 < 19.0
 
+    @pytest.mark.parametrize("model, members", _RK4_STACKS,
+                             ids=["1d_k8_one", "1d_k8_e12", "2d_rect_k3_e12", "3d_k2_e12"])
+    def test_rk4_pairs_match_four_call_reference(self, model, members, rng):
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(**model))
+        a = 0.1 * rng.standard_normal((members, table.mode_count))
+        b = 0.1 * rng.standard_normal((members, table.mode_count))
+        a[:, 0] += 0.3
+        for dt in (1e-3, 1e-2):
+            got_a, got_b, _ = _stage("rk4", dt, table)(a, b)
+            ref_a, ref_b = rk4_reference(dt, table)(a, b)
+            assert np.abs(got_a - ref_a).max() <= 1e-15 * np.abs(ref_a).max()
+            assert np.abs(got_b - ref_b).max() <= 1e-15 * np.abs(ref_b).max()
+
     def test_scheme_cross_agreement(self):
         # both schemes at dt = 1e-4 over T = 10 agree on a smooth state
         from kgorbit import ModelParams, build_spectrum
@@ -79,10 +123,11 @@ class TestSingleSteps:
 
 class TestEvolve:
     def test_planar_start_stays_exactly_planar(self, table):
-        cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=20.0, sample_stride=1000)
-        traj = evolve(planar(table, 0.1), cfg, table)
-        for a, b in zip(traj.a, traj.b):
-            assert float(np.sum(a[1:] ** 2 + b[1:] ** 2)) == 0.0
+        for scheme in ("split2", "rk4"):
+            cfg = StepperConfig(dt=1e-3, scheme=scheme, max_time=20.0, sample_stride=1000)
+            traj = evolve(planar(table, 0.1), cfg, table)
+            for a, b in zip(traj.a, traj.b):
+                assert float(np.sum(a[1:] ** 2 + b[1:] ** 2)) == 0.0, scheme
 
     def test_homoclinic_passage(self, table, params):
         start = homoclinic(-5.0, params)
@@ -344,11 +389,16 @@ class TestForceReuse:
             return kernel(a, exponent, table)
 
         monkeypatch.setattr(integrators, "_project_power_raw", counted)
-        for scheme, per_run in (("split2", 50 + 1), ("rk4", 4 * 50)):
+        # split2 carries its closing force into the next step; rk4 stacks
+        # its four stages in two pairs of rows
+        for scheme, per_run in (("split2", [1] * (50 + 1)), ("rk4", [2] * (2 * 50))):
             calls.clear()
             cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=0.5, sample_stride=7)
             evolve(planar(table, 0.1), cfg, table)
-            assert len(calls) == per_run, scheme
+            assert calls == per_run, scheme
+        calls.clear()
+        rk4_step(planar(table, 0.1), 1e-2, table)
+        assert calls == [2, 2]
 
     def test_member_leaving_keeps_forces_aligned(self, table8):
         # the middle member leaves the stack first, so the carried force

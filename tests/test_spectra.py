@@ -7,7 +7,7 @@ import pytest
 from kgorbit import (AssumptionViolated, DimensionMismatch, ModelParams, State,
                      build_spectrum, energy_breakdown, project_power, q_vector,
                      to_grid, to_modes)
-from kgorbit.spectra import _project_power_raw, _synthesis
+from kgorbit.spectra import _CHUNK_VALUES, _project_power_raw, _synthesis
 
 SQRT2 = math.sqrt(2.0)
 
@@ -267,16 +267,21 @@ class TestStackedTransforms:
         assert stacked.shape == (1, table8.mode_count)
         assert np.array_equal(stacked[0], single)
 
-    @pytest.mark.parametrize("params", _TORI, ids=["2d_rect_k3", "3d_k2"])
-    def test_rows_match_single_calls(self, params, rng):
+    @pytest.mark.parametrize("params, members", [
+        (_TORI[0], 5), (_TORI[1], 5),
+        (ModelParams(m=0.5, p=1, dim=3, cutoff=4, periods=(1.0, 1.0, 1.0)), 12),
+    ], ids=["2d_rect_k3", "3d_k2", "3d_k4_blocks"])
+    def test_rows_match_single_calls(self, params, members, rng):
         table = build_spectrum(params)
-        a = rng.standard_normal((5, table.mode_count))
-        b = rng.standard_normal((5, table.mode_count))
+        # only the 3D K=4 stack spans several row blocks of the kernel
+        assert (members > _CHUNK_VALUES // table.n_nodes) == (params.cutoff == 4)
+        a = rng.standard_normal((members, table.mode_count))
+        b = rng.standard_normal((members, table.mode_count))
         a[2, 1:] = b[2, 1:] = 0.0       # one planar member
         stacked = _project_power_raw(a, 3, table)
         grids = _synthesis(a, table)
         stacked_bd = energy_breakdown(State(a, b), table)
-        for row in range(5):
+        for row in range(members):
             _assert_close(stacked[row], project_power(a[row], 3, table))
             _assert_close(grids[row], to_grid(a[row], table).reshape(-1))
             single_bd = energy_breakdown(State(a[row], b[row]), table)
