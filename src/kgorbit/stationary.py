@@ -248,7 +248,8 @@ def invert_potential(y, params: ModelParams, branch: str):
     an array of the same shape).  All levels are solved together by one
     vectorised bisection on the branch, each bracket narrowed to
     1e-15 + 8.9e-16 |x| and then finished by one secant step
-    inside it.  Each level's root depends on that level alone.  Raises
+    inside it; one level runs the same steps on Python floats.  Each
+    level's root depends on that level alone.  Raises
     ProjectionUndefined when any level lies outside the range of f on
     the branch.
     """
@@ -260,6 +261,8 @@ def invert_potential(y, params: ModelParams, branch: str):
             f"level {float(levels[outside].flat[0])!r} outside [{y_lo!r}, {y_hi!r}] "
             f"on the {branch} branch")
     rising = branch == "high"
+    if levels.ndim == 0:
+        return _invert_level(float(levels), y_lo, rising, params)
     lo = np.full_like(levels, params.center if rising else 0.0)
     hi = np.full_like(levels, params.separatrix_amplitude if rising else params.center)
     short = potential_f(hi, params) < levels
@@ -279,8 +282,36 @@ def invert_potential(y, params: ModelParams, branch: str):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = lo + (levels - f_lo) / (f_hi - f_lo) * (hi - lo)
     x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-    x = np.where(levels == y_lo, params.center, x)
-    return float(x) if np.ndim(y) == 0 else x
+    return np.where(levels == y_lo, params.center, x)
+
+
+def _invert_level(y: float, y_lo: float, rising: bool, params: ModelParams) -> float:
+    """``invert_potential`` of one level: the same bisection and secant
+    step on Python floats.  f is evaluated on a 0-d array, because numpy's
+    array power rounds differently from Python's ``**``; so the root is
+    bit-identical to the one the array path gives."""
+    if y == y_lo:
+        return params.center
+
+    def f(x):
+        return float(potential_f(np.array(x), params))
+
+    lo = params.center if rising else 0.0
+    hi = params.separatrix_amplitude if rising else params.center
+    while f(hi) < y:
+        hi *= 2.0
+    while True:
+        x = 0.5 * (lo + hi)
+        if not hi - lo > _XTOL + _RTOL * abs(x):
+            break
+        if (f(x) > y) == rising:   # root lies below x
+            hi = x
+        else:
+            lo = x
+    f_lo, f_hi = f(lo), f(hi)
+    if f_hi != f_lo:
+        x = lo + (y - f_lo) / (f_hi - f_lo) * (hi - lo)
+    return x if lo <= x <= hi else 0.5 * (lo + hi)
 
 
 def _project(a0: np.ndarray, b0: np.ndarray, eta: float, band: DeltaBand,

@@ -106,6 +106,23 @@ class TestSingleSteps:
             assert np.abs(got_a - ref_a).max() <= 1e-15 * np.abs(ref_a).max()
             assert np.abs(got_b - ref_b).max() <= 1e-15 * np.abs(ref_b).max()
 
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    @pytest.mark.parametrize("members", [1, 12])
+    def test_stage_leaves_inputs_alone(self, table8, scheme, members, rng):
+        # evolve_ensemble keeps the previous step's arrays to refine a
+        # crossing, so a stage must neither write its inputs nor return
+        # memory that they share
+        a = 0.1 * rng.standard_normal((members, table8.mode_count))
+        b = 0.1 * rng.standard_normal((members, table8.mode_count))
+        f = _project_power_raw(a, 3, table8)
+        before = [x.copy() for x in (a, b, f)]
+        out = _stage(scheme, 1e-2, table8)(a, b, f)
+        for x, x0 in zip((a, b, f), before):
+            assert np.array_equal(x, x0)
+        for y in out:
+            if y is not None:
+                assert not any(np.shares_memory(x, y) for x in (a, b, f))
+
     def test_scheme_cross_agreement(self):
         # both schemes at dt = 1e-4 over T = 10 agree on a smooth state
         from kgorbit import ModelParams, build_spectrum
@@ -345,6 +362,21 @@ class TestEnsemble:
                               [cfg, cfg], table)
         assert isinstance(out[1], NonFiniteState)
         assert len(out[0].times) == 21 and np.isfinite(out[0].a).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_does_not_hide_a_crossing(self, table):
+        # in the first step member 1 turns NaN while member 0's b0 changes
+        # sign; the NaN must not mask member 0's crossing
+        dt = 1e-2
+        assert np.isnan(rk4_step(planar(table, 1e100), dt, table).b[0])
+        sec = SectionSpec("b0_equals", 0.0, "a0_left_of_center")
+        cfg = StepperConfig(dt=dt, scheme="rk4", max_time=0.1, sample_stride=1, section=sec)
+        out = evolve_ensemble([planar(table, 0.1, -1e-4), planar(table, 1e100)],
+                              [cfg, cfg], table, max_events=1)
+        assert isinstance(out[1], NonFiniteState)
+        assert len(out[0].events) == 1
+        t_hit, s_hit = out[0].events[0]
+        assert 0.0 < t_hit < dt and abs(s_hit.b[0]) <= 1e-10
 
     def test_members_must_share_step(self, table):
         cfgs = [StepperConfig(dt=1e-2), StepperConfig(dt=2e-2)]

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipj, ellipkm1
 
-from kgorbit import (Loop, OutOfRange, PlanarState, ProjectionUndefined, State,
-                     default_band, delta_band, dist_to_orbit, floquet, force,
-                     homoclinic, invert_potential, period, potential_f,
-                     project_to_orbit, sample_orbit, turning_point)
+from kgorbit import (Loop, ModelParams, OutOfRange, PlanarState,
+                     ProjectionUndefined, State, default_band, delta_band,
+                     dist_to_orbit, floquet, force, homoclinic,
+                     invert_potential, period, potential_f, project_to_orbit,
+                     sample_orbit, turning_point)
 from kgorbit import stationary
 from kgorbit.stationary import _project
 
@@ -395,6 +396,23 @@ class TestStackedDistance:
             exact = np.sqrt(-2.0 * y / (m2 + disc)) if branch == "low" else np.sqrt(m2 + disc)
             got = invert_potential(y, params, branch)
             assert np.all(np.abs(got - exact) <= 1e-14 * exact)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_level_matches_array_path_bitwise(self, p):
+        # one level runs the bisection on Python floats; its root must be
+        # the array path's to the last bit, on both branches and at the
+        # branch minimum, including high levels that widen the bracket
+        pr = ModelParams(m=0.5, p=p, dim=1, cutoff=1)
+        rng = np.random.default_rng(p)
+        f_min = potential_f(pr.center, pr)
+        for branch, xs in (("low", rng.uniform(1e-3, pr.center, 25)),
+                           ("high", rng.uniform(pr.center, 3.0, 25))):
+            ys = np.append(potential_f(xs, pr), f_min)
+            stacked = invert_potential(ys, pr, branch)
+            for y, x in zip(ys.tolist(), stacked):
+                one = invert_potential(y, pr, branch)
+                assert isinstance(one, float)
+                assert one == invert_potential(np.array([y]), pr, branch)[0] == x
 
     def test_out_of_range_levels(self, params):
         f_min = potential_f(params.center, params)
