@@ -22,7 +22,8 @@ batch layout depends on the config alone; a member that finds no return
 or blows up gets an ``error`` record (type, message) in its JSON run and
 NaN fields in its CSV row, the fit uses the other members, and the sweep
 exits 2; each successful JSON run counts the crossings refinement turned
-down, by reason (``rejected_crossings``).  A floquet sweep reads only
+down, by reason (``rejected_crossings``), and so does each loop record of
+a stability report.  A floquet sweep reads only
 (eta, T) of each loop, T from the period quadrature, with no loop
 samples, and makes one loop pass per eta for all its lambdas (see
 ``stationary.floquet``).  Every stochastic perturbation requires an
@@ -268,16 +269,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write a header and numeric rows (tuples, one value per column), each
+    value as a float with 17 significant digits, by one template per row."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row) + "\n")
+            fh.write(line % row)
 
 
 def _jsonable(obj):

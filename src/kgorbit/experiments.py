@@ -82,6 +82,9 @@ class FirstReturnResult:
 
 @dataclass(frozen=True)
 class LoopRecord:
+    """One loop of a chained run; ``rejected_crossings`` counts the
+    crossings its refinement turned down, by reason."""
+
     index: int
     eta_used: float
     return_time: float
@@ -89,6 +92,7 @@ class LoopRecord:
     J_at_return: float
     dist_to_orbit: float
     max_J: float
+    rejected_crossings: dict[str, int]
 
 
 @dataclass
@@ -312,6 +316,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
             index=k, eta_used=current_eta, return_time=res.return_time,
             return_distance=res.distance, J_at_return=res.J_at_return,
             dist_to_orbit=d_ret, max_J=loop_max_j,
+            rejected_crossings=dict(traj.rejected),
         ))
         if prev_J > 0.0:
             growth.append(res.J_at_return / prev_J)

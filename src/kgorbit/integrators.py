@@ -21,9 +21,10 @@ One stage function serves both schemes on one state or on a stack of
 states (members x modes), with one kernel call per force evaluation for
 the whole stack.  The closing half-kick of a ``split2`` step and the
 opening half-kick of the next read the same positions, so the stage
-returns the closing force and the next step opens with it ("first same
-as last"): a run of N steps makes N + 1 kernel calls, not 2N.  The two
-half-kicks stay separate, so every sample sits on a step boundary.
+returns the closing half-kick dt/2 * force and the next step opens with
+it ("first same as last"): a run of N steps makes N + 1 kernel calls,
+not 2N, and computes each half-kick once.  The two half-kicks stay
+separate, so every sample sits on a step boundary.
 For da/dt = b, db/dt = F(a) classical RK4 is a Runge-Kutta-Nystrom
 method (Hairer, Norsett & Wanner, Solving ODEs I, II.14): every stage
 position and the new (a, b) are fixed linear combinations of
@@ -35,7 +36,17 @@ stage buffer.
 ``evolve_ensemble`` steps a stack of independent members, each with its
 own section, horizon and event budget; a member that blows up is
 recorded in its own slot while the others go on.  ``evolve`` is the
-single-member case.
+single-member case.  The time loop runs in blocks of at most 64 steps,
+fewer when the stack holds many values, and a block ends at the next
+member horizon.  Within a block a step is one stage call; the crossing
+test, the refinements, the samples and the finiteness check run once per
+block, over the block's stacked states, and handle each member in step
+order, so a member stops at the same step, with the same samples and
+events, as a loop that tests after every step.  A member that stops
+inside a block is stepped on to the block's end and then leaves the
+stack: up to 63 wasted steps per stop, and a stack whose row count
+changes at block ends rather than at each stop, which can move
+other members' results by rounding in the kernel's matrix products.
 
 Section crossings are detected by a per-step sign change of the residual
 and refined by bisected re-integration from the bracketing state, which
@@ -149,9 +160,10 @@ class Trajectory:
 
 
 class _LinearFlow:
-    """Exact per-mode flow of the quadratic part over a fixed step, applied
-    to stacks (members, modes); the coefficients are (1, modes) rows, so a
-    one-member stack takes numpy's same-shape fast path."""
+    """Exact per-mode flow of the quadratic part over a fixed step:
+    (a, b) -> (c a + s b, g a + c b) on stacks (members, modes).  The
+    coefficients are (1, modes) rows, so a one-member stack takes numpy's
+    same-shape fast path."""
 
     def __init__(self, table: SpectrumTable, dt: float):
         w2 = table.lam_sq - table.params.m ** 2
@@ -174,18 +186,16 @@ class _LinearFlow:
         g[deg] = 0.0
         self.c, self.s, self.g = c[None], s[None], g[None]
 
-    def apply(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.c * a + self.s * b, self.g * a + self.c * b
-
 
 def _stage(scheme: str, dt: float, table: SpectrumTable):
-    """One step of ``scheme`` as a function (a, b, f) -> (a, b, f) on a
-    stack (members, modes), with one kernel call per force evaluation
-    (per pair of them in ``rk4``) for the whole stack.  Returns new
-    arrays and leaves its inputs untouched.
-    ``f`` carries the power force at the step's closing positions into
-    the next step: ``split2`` opens with it (computing it when None) and
-    returns the closing force, ``rk4`` ignores it and returns None.
+    """One step of ``scheme`` as a function (a, b, kick) -> (a, b, kick)
+    on a stack (members, modes), with one kernel call per force
+    evaluation (per pair of them in ``rk4``) for the whole stack.
+    Returns new arrays and leaves its inputs untouched.
+    ``kick`` carries the half-kick dt/2 * P(a) at the step's closing
+    positions into the next step: ``split2`` opens with it (computing it
+    when None) and returns the closing one, so each half-kick is
+    computed once; ``rk4`` ignores it and returns None.
 
     ``rk4`` keeps a, b and the full forces F1..F4 in one
     (6, members, modes) buffer y, new for every step so that no array a
@@ -210,16 +220,18 @@ def _stage(scheme: str, dt: float, table: SpectrumTable):
     exponent = 2 * table.params.p + 1
     if scheme == "split2":
         flow = _LinearFlow(table, dt)
+        c, s, g = flow.c, flow.s, flow.g
         half = 0.5 * dt
 
-        def split2(a, b, f=None):
-            if f is None:
-                f = _project_power_raw(a, exponent, table)
-            b = b - half * f
-            a, b = flow.apply(a, b)
-            f = _project_power_raw(a, exponent, table)
-            b -= half * f
-            return a, b, f
+        def split2(a, b, kick=None):
+            if kick is None:
+                kick = half * _project_power_raw(a, exponent, table)
+            b = b - kick
+            a, b = c * a + s * b, g * a + c * b
+            kick = _project_power_raw(a, exponent, table)
+            kick *= half
+            b -= kick
+            return a, b, kick
         return split2
 
     # RK4's Runge-Kutta-Nystrom tableau over y = (a, b, F1, F2, F3, F4)
@@ -326,6 +338,10 @@ def refine_crossing(s_before: State, s_after: State, section: SectionSpec,
     return s_before.t + tau, candidate
 
 
+# Most steps of a block of the time loop (see evolve_ensemble).
+_BLOCK_STEPS = 64
+
+
 class _Member:
     """Bookkeeping of one ensemble member: its samples, events and
     rejected crossings, or the error that stopped it."""
@@ -336,25 +352,31 @@ class _Member:
         self.horizon = max(1, int(round(cfg.max_time / cfg.dt)))
         self.limit = limit
         self.times: list[float] = []
-        self.rows_a: list[np.ndarray] = []
-        self.rows_b: list[np.ndarray] = []
+        self.blocks_a: list[np.ndarray] = []   # (samples, modes) each
+        self.blocks_b: list[np.ndarray] = []
         self.events: list[tuple[float, State]] = []
         self.rejected = {"sign_constraint": 0, "stalled": 0, "no_sign_change": 0}
         self.error: NonFiniteState | None = None
 
-    def sample(self, t: float, a: np.ndarray, b: np.ndarray, checked: bool) -> None:
-        """Record a sample, or stop the member if it is not finite."""
-        if not (checked or (np.isfinite(a).all() and np.isfinite(b).all())):
-            self.error = NonFiniteState(f"non-finite coefficients at t = {t}")
-            return
-        self.times.append(t)
-        self.rows_a.append(a)
-        self.rows_b.append(b)
+    def sample(self, times: list[float], a: np.ndarray, b: np.ndarray,
+               checked: bool) -> None:
+        """Record samples (rows of a and b, in time order) up to the first
+        one that is not finite, which stops the member."""
+        if not checked:
+            finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+            if not finite.all():
+                bad = int(finite.argmin())
+                self.error = NonFiniteState(f"non-finite coefficients at t = {times[bad]}")
+                times, a, b = times[:bad], a[:bad], b[:bad]
+        self.times.extend(times)
+        self.blocks_a.append(a)
+        self.blocks_b.append(b)
 
     def result(self, table: SpectrumTable) -> Trajectory | NonFiniteState:
         if self.error is not None:
             return self.error
-        arrays = [np.array(self.times), np.array(self.rows_a), np.array(self.rows_b)]
+        arrays = [np.array(self.times), np.concatenate(self.blocks_a),
+                  np.concatenate(self.blocks_b)]
         for arr in arrays:
             arr.flags.writeable = False
         return Trajectory(*arrays, events=self.events, rejected=self.rejected, table=table)
@@ -372,8 +394,8 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
     stopped exactly as ``evolve`` does it.  A member whose coefficients
     turn non-finite gets its NonFiniteState in its slot of the returned
     list, while the others go on.  Rows keep the members' order and a
-    finished member leaves the stack, so the batch layout is a function of
-    the inputs alone.
+    finished member leaves the stack at the end of its block of steps, so
+    the batch layout is a function of the inputs alone.
     """
     if len(states) != len(cfgs):
         raise ValueError(f"{len(states)} states but {len(cfgs)} configs")
@@ -388,74 +410,83 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
     members = [_Member(s, c, limit) for s, c, limit in zip(states, cfgs, max_events)]
     dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
     stage = _stage(scheme, dt, table)
-    ends: dict[int, list[int]] = {}
-    for k, m in enumerate(members):
-        ends.setdefault(m.horizon, []).append(k)
 
     a = np.array([s.a for s in states], dtype=float)
     b = np.array([s.b for s in states], dtype=float)
     for k, m in enumerate(members):
-        m.sample(m.t0, a[k], b[k], checked=True)
+        m.sample([m.t0], a[k:k + 1], b[k:k + 1], checked=True)
     active = list(range(len(members)))       # member of each stack row
     tracked = any(m.section is not None for m in members)
     on_a0 = np.array([m.section is not None and m.section.kind == "a0_equals"
                       for m in members])
     levels = np.array([m.section.level if m.section is not None else 0.0
                        for m in members])
-    res = np.where(on_a0, a[:, 0], b[:, 0]) - levels
-    f = None                                 # force carried between steps
+    kick = None                              # carried between steps by split2
 
-    i = 0
+    i = 0                                    # steps made before the block
     while active:
-        i += 1
-        prev_a, prev_b = a, b
-        a, b, f = stage(a, b, f)
-        leaving: set[int] = set()
+        n = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // a.size),
+                min(members[k].horizon for k in active) - i)
+        stack_a = np.empty((n + 1, *a.shape))
+        stack_b = np.empty((n + 1, *a.shape))
+        stack_a[0], stack_b[0] = a, b
+        for j in range(1, n + 1):
+            a, b, kick = stage(a, b, kick)
+            stack_a[j], stack_b[j] = a, b
+        finite = bool(np.isfinite(stack_a).all() and np.isfinite(stack_b).all())
 
+        crossings: dict[int, list[int]] = {}  # stack row -> steps into the block
         if tracked:
-            res_new = np.where(on_a0, a[:, 0], b[:, 0]) - levels
-            product = res * res_new
+            res = np.where(on_a0, stack_a[:, :, 0], stack_b[:, :, 0]) - levels
+            product = res[:-1] * res[1:]
             # fmin skips NaN, so a blown-up member cannot hide another's crossing
-            if np.fmin.reduce(product) <= 0.0:
-                for r in np.flatnonzero(product <= 0.0):
-                    m = members[active[r]]
-                    r_prev, r_now = res[r], res_new[r]
-                    if m.section is None or not (
+            if np.fmin.reduce(product, axis=None) <= 0.0:
+                for j, r in np.argwhere(product <= 0.0).tolist():
+                    r_prev, r_now = res[j, r], res[j + 1, r]
+                    if members[active[r]].section is not None and (
                             r_prev * r_now < 0 or (r_now == 0.0 and r_prev != 0.0)):
-                        continue
-                    t = m.t0 + i * dt
-                    try:
-                        m.events.append(refine_crossing(
-                            State(prev_a[r].copy(), prev_b[r].copy(), t - dt),
-                            State(a[r].copy(), b[r].copy(), t),
-                            m.section, table, scheme=scheme))
-                    except NoCrossing as exc:
-                        m.rejected[exc.reason] += 1
-                    if m.limit is not None and len(m.events) >= m.limit:
-                        m.sample(t, a[r], b[r], checked=False)
-                        leaving.add(r)
-            res = res_new
+                        crossings.setdefault(r, []).append(j + 1)
 
-        ending = ends.get(i, ())
-        if i % stride == 0 or ending:
-            rows = range(len(active)) if i % stride == 0 else \
-                [r for r, k in enumerate(active) if k in ending]
-            finite = np.isfinite(a).all() and np.isfinite(b).all()
-            for r in rows:
-                if r in leaving:
-                    continue
-                m = members[active[r]]
-                m.sample(m.t0 + i * dt, a[r], b[r], checked=finite)
-                if m.error is not None or i == m.horizon:
-                    leaving.add(r)
+        # Each member's crossings, then its samples up to the step it stops
+        # at.  A member that turns non-finite stops at its first non-finite
+        # sample; crossings refined after that step cannot change its result,
+        # which is then the NonFiniteState alone.
+        first = stride - i % stride            # first sample step of the block
+        leaving = []
+        for r, k in enumerate(active):
+            m = members[k]
+            end = n                            # last step the member keeps
+            stops = m.horizon - i == n         # a block ends at the next horizon
+            for j in crossings.get(r, ()):
+                t = m.t0 + (i + j) * dt
+                try:
+                    m.events.append(refine_crossing(
+                        State(stack_a[j - 1, r].copy(), stack_b[j - 1, r].copy(), t - dt),
+                        State(stack_a[j, r].copy(), stack_b[j, r].copy(), t),
+                        m.section, table, scheme=scheme))
+                except NoCrossing as exc:
+                    m.rejected[exc.reason] += 1
+                if m.limit is not None and len(m.events) >= m.limit:
+                    end, stops = j, True
+                    break
+            steps = list(range(first, end + 1, stride))
+            if stops and (i + end) % stride:
+                steps.append(end)
+            if steps:
+                m.sample([m.t0 + (i + j) * dt for j in steps],
+                         stack_a[steps, r], stack_b[steps, r], checked=finite)
+            if stops or m.error is not None:
+                leaving.append(r)
+        i += n
+        del stack_a, stack_b                   # hold one block at a time
 
         if leaving:
             keep = [r for r in range(len(active)) if r not in leaving]
             active = [active[r] for r in keep]
-            a, b, res = a[keep], b[keep], res[keep]
+            a, b = a[keep], b[keep]
             on_a0, levels = on_a0[keep], levels[keep]
-            if f is not None:
-                f = f[keep]
+            if kick is not None:
+                kick = kick[keep]
 
     return [m.result(table) for m in members]
 

@@ -7,7 +7,7 @@ import pytest
 
 from kgorbit import (ParseError, ValidationError, build_spectrum, parse_config, run,
                      serialize_config)
-from kgorbit.cli import _initial_state, main
+from kgorbit.cli import _initial_state, _write_csv, main
 from kgorbit.stationary import floquet, sample_orbit
 
 MINIMAL = """\
@@ -240,6 +240,7 @@ class TestRun:
         assert payload["j_within_regime"] is True
         assert len(payload["loop_records"]) == 1
         assert payload["loop_records"][0]["return_time"] > 0
+        assert payload["loop_records"][0]["rejected_crossings"]["sign_constraint"] >= 1
 
     def test_stability_default_budget(self, tmp_path):
         # loop_budget defaults to ceil(loop_rate * ln(1/eta)); rate 0.2 at
@@ -265,6 +266,20 @@ class TestRun:
         assert run(cfg) == 2
         payload = json.loads((tmp_path / "energy-check.json").read_text())
         assert payload["anomaly"] is True
+
+    def test_csv_template_matches_per_value_formatting(self, tmp_path):
+        # the writer formats a row with one template; the reference formats
+        # every value on its own
+        rows = [(1, np.float64(0.1), float("nan"), math.inf),
+                (-3, -math.inf, -0.0, 1e-300),
+                (np.float64(-0.0), np.float64(np.nan), 2 ** 60, np.float64(1 / 3))]
+        header = ["a", "b", "c", "d"]
+        _write_csv(str(tmp_path / "new.csv"), header, rows)
+        with open(tmp_path / "ref.csv", "w", newline="\n") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{float(v):.17g}" for v in row) + "\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_csv_full_precision(self, tmp_path):
         cfg = parse_config(MINIMAL)

@@ -186,6 +186,27 @@ class TestManyLoops:
         assert report.completed_loops == 1
         assert report.max_dist_to_orbit > 0
 
+    def test_loop_records_count_rejected_crossings(self, table8, params8, cfg,
+                                                   monkeypatch):
+        import kgorbit.experiments as experiments
+        loops = []
+
+        def first_return(*args, **kwargs):
+            res = run_first_return(*args, **kwargs)
+            loops.append(res.trajectory)
+            return res
+        monkeypatch.setattr(experiments, "run_first_return", first_return)
+        eta = 0.05
+        spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
+                                distribution="random_direction", seed=1)
+        s0 = perturb_near_orbit(eta, spec, table8)
+        report = run_many_loops(s0, eta, default_band(params8), 2, cfg, table8)
+        assert len(loops) == len(report.loop_records) == 2
+        for rec, traj in zip(report.loop_records, loops):
+            assert rec.rejected_crossings == traj.rejected
+            # the far turning point crosses the b0 section on the wrong side
+            assert rec.rejected_crossings["sign_constraint"] >= 1
+
     def test_determinism(self, table8, params8, cfg):
         eta = 0.05
         band = default_band(params8)

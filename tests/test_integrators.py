@@ -6,7 +6,7 @@ import pytest
 from kgorbit import (NoCrossing, NonFiniteState, SectionSpec, State,
                      StepperConfig, dist_x, evolve, evolve_ensemble, homoclinic,
                      period, refine_crossing, rk4_step, split2_step)
-from kgorbit.integrators import _LinearFlow, _stage
+from kgorbit.integrators import _BLOCK_STEPS, _LinearFlow, _stage
 from kgorbit.spectra import _project_power_raw
 
 
@@ -43,6 +43,83 @@ def rk4_reference(dt, table):
     return rk4
 
 
+def evolve_reference(states, cfgs, table, max_events=None):
+    """The time loop one step at a time: a crossing test and the samples
+    after every step, a member leaving the stack at the step it stops.
+    The reference the block loop of ``evolve_ensemble`` must reproduce.
+    Returns per member (times, a, b, events, rejected) or the
+    NonFiniteState that stopped it."""
+    if max_events is None or np.ndim(max_events) == 0:
+        max_events = [max_events] * len(states)
+    dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
+    stage = _stage(scheme, dt, table)
+    members = [{"t0": s.t, "section": c.section, "limit": limit,
+                "horizon": max(1, int(round(c.max_time / c.dt))),
+                "times": [], "a": [], "b": [], "events": [], "error": None,
+                "rejected": {"sign_constraint": 0, "stalled": 0, "no_sign_change": 0}}
+               for s, c, limit in zip(states, cfgs, max_events)]
+
+    def sample(m, t, a, b):
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            m["error"] = NonFiniteState(f"non-finite coefficients at t = {t}")
+            return
+        m["times"].append(t)
+        m["a"].append(a)
+        m["b"].append(b)
+
+    a = np.array([s.a for s in states], dtype=float)
+    b = np.array([s.b for s in states], dtype=float)
+    for k, m in enumerate(members):
+        sample(m, m["t0"], a[k], b[k])
+    active = list(range(len(members)))
+    on_a0 = np.array([m["section"] is not None and m["section"].kind == "a0_equals"
+                      for m in members])
+    levels = np.array([m["section"].level if m["section"] is not None else 0.0
+                       for m in members])
+    res = np.where(on_a0, a[:, 0], b[:, 0]) - levels
+    kick = None
+    i = 0
+    while active:
+        i += 1
+        prev_a, prev_b = a, b
+        a, b, kick = stage(a, b, kick)
+        leaving = set()
+        res_new = np.where(on_a0, a[:, 0], b[:, 0]) - levels
+        for r in range(len(active)):
+            m = members[active[r]]
+            r_prev, r_now = res[r], res_new[r]
+            if m["section"] is None or not r_prev * r_now <= 0.0 or not (
+                    r_prev * r_now < 0 or (r_now == 0.0 and r_prev != 0.0)):
+                continue
+            t = m["t0"] + i * dt
+            try:
+                m["events"].append(refine_crossing(
+                    State(prev_a[r].copy(), prev_b[r].copy(), t - dt),
+                    State(a[r].copy(), b[r].copy(), t), m["section"], table, scheme))
+            except NoCrossing as exc:
+                m["rejected"][exc.reason] += 1
+            if m["limit"] is not None and len(m["events"]) >= m["limit"]:
+                sample(m, t, a[r], b[r])
+                leaving.add(r)
+        res = res_new
+        for r in range(len(active)):
+            m = members[active[r]]
+            if r in leaving or not (i % stride == 0 or i == m["horizon"]):
+                continue
+            sample(m, m["t0"] + i * dt, a[r], b[r])
+            if m["error"] is not None or i == m["horizon"]:
+                leaving.add(r)
+        if leaving:
+            keep = [r for r in range(len(active)) if r not in leaving]
+            active = [active[r] for r in keep]
+            a, b, res = a[keep], b[keep], res[keep]
+            on_a0, levels = on_a0[keep], levels[keep]
+            if kick is not None:
+                kick = kick[keep]
+    return [m["error"] or (np.array(m["times"]), np.array(m["a"]), np.array(m["b"]),
+                           m["events"], m["rejected"]) for m in members]
+
+
 _RK4_STACKS = [
     (dict(m=0.5, p=1, dim=1, cutoff=8), 1),
     (dict(m=0.5, p=1, dim=1, cutoff=8), 12),
@@ -67,7 +144,7 @@ class TestSingleSteps:
         inv0 = w2 * a[0, 1] ** 2 + b[0, 1] ** 2
         flow = _LinearFlow(table, 1e-2)
         for _ in range(200):
-            a, b = flow.apply(a, b)
+            a, b = flow.c * a + flow.s * b, flow.g * a + flow.c * b
         inv1 = w2 * a[0, 1] ** 2 + b[0, 1] ** 2
         assert abs(inv1 - inv0) < 1e-13 * inv0
 
@@ -109,8 +186,8 @@ class TestSingleSteps:
     @pytest.mark.parametrize("scheme", ["split2", "rk4"])
     @pytest.mark.parametrize("members", [1, 12])
     def test_stage_leaves_inputs_alone(self, table8, scheme, members, rng):
-        # evolve_ensemble keeps the previous step's arrays to refine a
-        # crossing, so a stage must neither write its inputs nor return
+        # split2_step and rk4_step hand the stage views of the caller's
+        # state, so a stage must neither write its inputs nor return
         # memory that they share
         a = 0.1 * rng.standard_normal((members, table8.mode_count))
         b = 0.1 * rng.standard_normal((members, table8.mode_count))
@@ -445,3 +522,108 @@ class TestForceReuse:
             assert np.array_equal(got.times, ref.times)
             assert np.abs(got.a - ref.a).max() <= 1e-12
             assert np.abs(got.b - ref.b).max() <= 1e-12
+
+
+class TestBlockLoop:
+    """evolve_ensemble steps in blocks; every member must stop, sample and
+    record events exactly as the per-step reference loop does."""
+
+    @staticmethod
+    def _start(table, a0=0.1):
+        s = planar(table, a0)
+        s.a[1], s.b[2] = 1e-3, -2e-3
+        return s
+
+    @staticmethod
+    def _assert_same(got, ref, table, rel=0.0):
+        if isinstance(ref, NonFiniteState):
+            assert isinstance(got, NonFiniteState) and str(got) == str(ref)
+            return
+        times, a, b, events, rejected = ref
+        assert np.array_equal(got.times, times)
+        assert np.abs(got.a - a).max() <= rel * np.abs(a).max()
+        assert np.abs(got.b - b).max() <= rel * np.abs(b).max()
+        assert got.rejected == rejected
+        assert len(got.events) == len(events)
+        for (t_got, s_got), (t_ref, s_ref) in zip(got.events, events):
+            assert abs(t_got - t_ref) <= rel * abs(t_ref)
+            assert dist_x(s_got, s_ref, table) <= rel * max(1.0, np.abs(s_ref.a).max())
+
+    def _compare(self, s0, cfg, table, max_events=None):
+        got = evolve_ensemble([s0], [cfg], table, max_events)[0]
+        ref = evolve_reference([s0], [cfg], table, max_events)[0]
+        self._assert_same(got, ref, table)
+        return got
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_event_budget_stops_mid_block(self, table, scheme):
+        sec = SectionSpec("b0_equals", 0.0, "a0_left_of_center")
+        cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=60.0, sample_stride=5,
+                            section=sec)
+        got = self._compare(self._start(table), cfg, table, max_events=1)
+        stop = round(got.times[-1] / cfg.dt)
+        assert len(got.events) == 1 and stop % _BLOCK_STEPS != 0 and stop % 5 != 0
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    @pytest.mark.parametrize("at, exact", [(2 * _BLOCK_STEPS, False), (100, True)],
+                             ids=["last_step_of_block", "residual_exactly_zero"])
+    def test_crossing_at_a_chosen_step(self, table, scheme, at, exact):
+        # a b0 section whose level puts a crossing at step ``at``: between
+        # the residuals of steps at - 1 and at, or exactly on step at
+        s0, dt = self._start(table), 1e-2
+        free = evolve(s0, StepperConfig(dt=dt, scheme=scheme, max_time=3.0,
+                                        sample_stride=1), table)
+        b0 = free.b[:, 0]
+        level = b0[at] if exact else 0.5 * (b0[at - 1] + b0[at])
+        side = "a0_left_of_center" if free.a[at, 0] < table.params.center \
+            else "a0_right_of_center"
+        cfg = StepperConfig(dt=dt, scheme=scheme, max_time=3.0, sample_stride=7,
+                            section=SectionSpec("b0_equals", level, side))
+        got = self._compare(s0, cfg, table)
+        if exact:
+            assert b0[at] - level == 0.0 and b0[at - 1] != level
+            assert any(abs(t - at * dt) <= 1e-12 and st.b[0] == level
+                       for t, st in got.events)
+        else:
+            assert any((at - 1) * dt < t < at * dt for t, _ in got.events)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, a0, dt", [("split2", 10.0, 0.1), ("rk4", 5.0, 0.15)])
+    def test_blow_up_mid_block(self, table, scheme, a0, dt):
+        cfg = StepperConfig(dt=dt, scheme=scheme, max_time=30.0, sample_stride=3,
+                            section=SectionSpec("a0_equals", 0.3, "b0_negative"))
+        got = self._compare(self._start(table, a0), cfg, table)
+        assert isinstance(got, NonFiniteState)
+        step = round(float(str(got).rsplit("= ", 1)[1]) / dt)
+        assert 0 < step < 200 and step % _BLOCK_STEPS != 0
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_horizon_off_stride_and_block(self, table, scheme):
+        sec = SectionSpec("a0_equals", 0.3, "b0_positive")
+        cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=1.57, sample_stride=7,
+                            section=sec)
+        got = self._compare(self._start(table, 0.2), cfg, table)
+        assert len(got.times) == 157 // 7 + 2 and got.times[-1] == pytest.approx(1.57)
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_members_leaving_in_different_blocks(self, table, scheme):
+        # twelve members: horizons, event budgets and sections that make
+        # them leave the stack at different steps of different blocks
+        sections = [SectionSpec("b0_equals", 0.0, "a0_left_of_center"), None,
+                    SectionSpec("a0_equals", 0.3, "b0_positive"),
+                    SectionSpec("a0_equals", 0.3, "b0_negative")]
+        starts, cfgs, limits = [], [], []
+        for k in range(12):
+            s = self._start(table, 0.05 + 0.02 * k)
+            s.t = 0.25 * k
+            starts.append(s)
+            cfgs.append(StepperConfig(dt=1e-2, scheme=scheme, max_time=3.0 + 1.37 * k,
+                                      sample_stride=5, section=sections[k % 4]))
+            limits.append(None if k % 3 == 0 else 1 + k % 2)
+        got = evolve_ensemble(starts, cfgs, table, limits)
+        ref = evolve_reference(starts, cfgs, table, limits)
+        stops = set()
+        for g, r in zip(got, ref):
+            self._assert_same(g, r, table, rel=1e-13)
+            stops.add(round((g.times[-1] - g.times[0]) / 1e-2) // _BLOCK_STEPS)
+        assert len(stops) >= 4

@@ -7,7 +7,8 @@ import pytest
 from kgorbit import (AssumptionViolated, DimensionMismatch, ModelParams, State,
                      build_spectrum, energy_breakdown, project_power, q_vector,
                      to_grid, to_modes)
-from kgorbit.spectra import _CHUNK_VALUES, _project_power_raw, _synthesis
+from kgorbit.spectra import (_CHUNK_VALUES, _analysis, _grid_power, _project_power_raw,
+                             _synthesis)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -290,3 +291,21 @@ class TestStackedTransforms:
                     getattr(single_bd, f.name), rel=1e-13, abs=1e-15)
         assert np.all(stacked[2, 1:] == 0.0)
         assert stacked_bd.J[2] == 0.0 and stacked_bd.q_norm[2] == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_1d_inline_kernel_equals_composed_transforms(self, p, rng):
+        # the 1D kernel runs synthesis, power and analysis inline; a stack
+        # past one chunk runs them per block of rows
+        table = build_spectrum(ModelParams(m=0.5, p=p, dim=1, cutoff=8))
+        exponent = 2 * p + 1
+        rows = _CHUNK_VALUES // table.n_nodes
+        for members in (1, 12, 24, rows + 5):
+            a = 0.3 * rng.standard_normal((members, table.mode_count))
+            a[members // 2, 1:] = 0.0       # one exactly constant field
+            got = _project_power_raw(a, exponent, table)
+            want = np.concatenate([
+                _analysis(_grid_power(_synthesis(a[i:i + rows], table), exponent), table)
+                for i in range(0, members, rows)])
+            assert np.array_equal(got, want), members
+            assert np.all(got[members // 2, 1:] == 0.0)
+            assert got[members // 2, 0] != 0.0
