@@ -33,16 +33,26 @@ stage 3 only F1 and stage 4 only F2, so an ``rk4`` step makes two
 force evaluations, each on a stack of twice the members' rows, and
 applies the combinations as small coefficient matrices over one
 stage buffer.
+A stage writes each step's new (a, b) into a slot the caller hands it
+and keeps every temporary in buffers it owns, allocated on its first
+call with a given member count, so a step in the time loop allocates no
+array data.  The buffers never go on the ``SpectrumTable``, which stays
+shareable across concurrent runs.
 ``evolve_ensemble`` steps a stack of independent members, each with its
 own section, horizon and event budget; a member that blows up is
 recorded in its own slot while the others go on.  ``evolve`` is the
 single-member case.  The time loop runs in blocks of at most 64 steps,
 fewer when the stack holds many values, and a block ends at the next
-member horizon.  Within a block a step is one stage call; the crossing
-test, the refinements, the samples and the finiteness check run once per
-block, over the block's stacked states, and handle each member in step
-order, so a member stops at the same step, with the same samples and
-events, as a loop that tests after every step.  A member that stops
+member horizon.  A block is one (steps + 1, 2, members, modes) stack of
+phase-space states, and step j is one stage call that writes slot j;
+the stack is allocated for the longest block and reused until the
+member count changes.
+The crossing test, the refinements, the samples and the finiteness
+check run once per block, over that stack, and handle each member in
+step order, so a member stops at the same step, with the same samples
+and events, as a loop that tests after every step.  Samples, events and
+the states handed to refinement are copies: no result shares memory
+with the stack or with a stage's buffers.  A member that stops
 inside a block is stepped on to the block's end and then leaves the
 stack: up to 63 wasted steps per stop, and a stack whose row count
 changes at block ends rather than at each stop, which can move
@@ -63,7 +73,7 @@ import numpy as np
 
 from .errors import NoCrossing, NonFiniteState
 from .hamiltonian import EnergyBreakdown, State, energy_breakdown, validate_state
-from .spectra import _CHUNK_VALUES, SpectrumTable, _project_power_raw
+from .spectra import _CHUNK_VALUES, SpectrumTable, _kernel_work, _project_power_raw
 
 __all__ = [
     "StepperConfig", "SectionSpec", "Trajectory",
@@ -167,41 +177,55 @@ class _LinearFlow:
 
     def __init__(self, table: SpectrumTable, dt: float):
         w2 = table.lam_sq - table.params.m ** 2
-        c = np.empty_like(w2)
-        s = np.empty_like(w2)   # coefficient of b in the a-update
-        g = np.empty_like(w2)   # coefficient of a in the b-update
+        # degenerate modes (|w2| <= 1e-14) keep the free flow
+        c = np.ones_like(w2)
+        s = np.full_like(w2, dt)   # coefficient of b in the a-update
+        g = np.zeros_like(w2)      # coefficient of a in the b-update
         ell = w2 > 1e-14
-        hyp = w2 < -1e-14
-        deg = ~(ell | hyp)
         w = np.sqrt(w2[ell])
-        c[ell] = np.cos(w * dt)
-        s[ell] = np.sin(w * dt) / w
-        g[ell] = -w * np.sin(w * dt)
+        wd = w * dt
+        sin = np.sin(wd)
+        c[ell] = np.cos(wd)
+        s[ell] = sin / w
+        g[ell] = -w * sin
+        hyp = w2 < -1e-14
         k = np.sqrt(-w2[hyp])
-        c[hyp] = np.cosh(k * dt)
-        s[hyp] = np.sinh(k * dt) / k
-        g[hyp] = k * np.sinh(k * dt)
-        c[deg] = 1.0
-        s[deg] = dt
-        g[deg] = 0.0
+        kd = k * dt
+        sinh = np.sinh(kd)
+        c[hyp] = np.cosh(kd)
+        s[hyp] = sinh / k
+        g[hyp] = k * sinh
         self.c, self.s, self.g = c[None], s[None], g[None]
 
 
 def _stage(scheme: str, dt: float, table: SpectrumTable):
-    """One step of ``scheme`` as a function (a, b, kick) -> (a, b, kick)
-    on a stack (members, modes), with one kernel call per force
-    evaluation (per pair of them in ``rk4``) for the whole stack.
-    Returns new arrays and leaves its inputs untouched.
+    """One step of ``scheme`` as a function
+    (a, b, kick, out=None) -> (a, b, kick) on a stack (members, modes),
+    with one kernel call per force evaluation (per pair of them in
+    ``rk4``) for the whole stack.
+
+    The stage writes the new (a, b) into ``out``, a C-contiguous
+    (2, members, modes) slot that overlaps none of its inputs, and
+    returns ``out[0]`` and ``out[1]``; without ``out`` it writes into a
+    new slot, so the returned a and b are fresh arrays.  It never writes
+    its inputs.  Every other array a step needs lives in buffers that the
+    stage instance allocates on its first call with a given member count
+    and reuses after that, so a call with ``out`` allocates no array
+    data.  The buffers belong to the instance, never to the table, which
+    stays shareable across concurrent runs; an instance serves one run
+    at a time.
     ``kick`` carries the half-kick dt/2 * P(a) at the step's closing
     positions into the next step: ``split2`` opens with it (computing it
     when None) and returns the closing one, so each half-kick is
-    computed once; ``rk4`` ignores it and returns None.
+    computed once; ``rk4`` ignores it and returns None.  The returned
+    kick is the stage's own buffer, overwritten by the next call with the
+    same member count: a caller only passes it back to the stage, or
+    indexes rows out of it, which copies them.
 
     ``rk4`` keeps a, b and the full forces F1..F4 in one
-    (6, members, modes) buffer y, new for every step so that no array a
-    caller holds from an earlier step is ever written.  It reads each
-    step off the Runge-Kutta-Nystrom tableau of classical RK4, as three
-    coefficient matrices applied to y flattened to (rows, members * modes):
+    (6, members, modes) buffer y.  It reads each step off the
+    Runge-Kutta-Nystrom tableau of classical RK4, as three coefficient
+    matrices applied to y flattened to (rows, members * modes):
 
     * ``to12`` (2 x 2) over (a, b): stage 1 at a, stage 2 at
       a + dt/2 b;
@@ -209,7 +233,7 @@ def _stage(scheme: str, dt: float, table: SpectrumTable):
       a + dt/2 b + dt^2/4 F1, stage 4 at a + dt b + dt^2/2 F2;
     * ``update`` (2 x 6) over all of y: the new a,
       a + dt b + dt^2/6 (F1 + F2 + F3), and the new b,
-      b + dt/6 (F1 + 2 F2 + 2 F3 + F4).
+      b + dt/6 (F1 + 2 F2 + 2 F3 + F4), written into ``out``.
 
     Each stage pair is one force evaluation on a (2 members, modes)
     stack, written into its two rows of y.  The step equals the
@@ -218,20 +242,37 @@ def _stage(scheme: str, dt: float, table: SpectrumTable):
     max |b|.  Zero coefficients stay exactly zero.
     """
     exponent = 2 * table.params.p + 1
+    modes = table.mode_count
+    held: dict[int, tuple] = {}              # buffers for the latest member count
+
     if scheme == "split2":
         flow = _LinearFlow(table, dt)
         c, s, g = flow.c, flow.s, flow.g
-        half = 0.5 * dt
+        half = np.array(0.5 * dt)   # a 0-d operand is cheaper than a float
 
-        def split2(a, b, kick=None):
+        def split2(a, b, kick=None, out=None):
+            n = len(a)
+            held_n = held.get(n)
+            if held_n is None:   # the kick, also a scratch product, and kernel buffers
+                held.clear()
+                held_n = held[n] = (np.empty((n, modes)), _kernel_work(n, table))
+            closing, work = held_n
+            if out is None:
+                out = np.empty((2, n, modes))
+            new_a, new_b = out[0], out[1]
             if kick is None:
-                kick = half * _project_power_raw(a, exponent, table)
-            b = b - kick
-            a, b = c * a + s * b, g * a + c * b
-            kick = _project_power_raw(a, exponent, table)
-            kick *= half
-            b -= kick
-            return a, b, kick
+                kick = np.multiply(_project_power_raw(a, exponent, table, work), half,
+                                   out=closing)
+            kicked = np.subtract(b, kick, out=new_b)
+            # the linear flow of (a, kicked): c a + s kicked, g a + c kicked
+            np.multiply(c, a, out=new_a)
+            new_a += np.multiply(s, kicked, out=closing)
+            np.multiply(c, kicked, out=closing)
+            np.multiply(g, a, out=new_b)
+            new_b += closing
+            np.multiply(_project_power_raw(new_a, exponent, table, work), half, out=closing)
+            new_b -= closing
+            return new_a, new_b, closing
         return split2
 
     # RK4's Runge-Kutta-Nystrom tableau over y = (a, b, F1, F2, F3, F4)
@@ -243,25 +284,32 @@ def _stage(scheme: str, dt: float, table: SpectrumTable):
     update = np.array(((1.0, dt, dt2 / 6, dt2 / 6, dt2 / 6, 0.0),
                        (0.0, 1.0, dt / 6, dt / 3, dt / 3, dt / 6)))
     neg_w2 = (table.params.m ** 2 - table.lam_sq)[None]
-    linear: dict[int, np.ndarray] = {}   # neg_w2 repeated to each stack height
 
-    def force(x, out):
-        """The full force -(lam^2 - m^2) x - P(x) of a stage pair, into out."""
-        rows = linear.get(len(x))
-        if rows is None:
-            rows = linear[len(x)] = np.repeat(neg_w2, len(x), axis=0)
-        np.multiply(rows, x, out=out)
-        out -= _project_power_raw(x, exponent, table)
-
-    def rk4(a, b, f=None):
-        n, modes = a.shape
-        y = np.empty((6, n, modes))
-        y[0], y[1] = a, b
-        flat = y.reshape(6, n * modes)
-        force((to12 @ flat[:2]).reshape(2 * n, modes), y[2:4].reshape(2 * n, modes))
-        force((to34 @ flat[:4]).reshape(2 * n, modes), y[4:].reshape(2 * n, modes))
-        a, b = (update @ flat).reshape(2, n, modes)
-        return a, b, None
+    def rk4(a, b, kick=None, out=None):
+        n = len(a)
+        held_n = held.get(n)
+        if held_n is None:
+            held.clear()
+            y = np.empty((6, n * modes))            # flat rows a, b, F1..F4
+            x = np.empty((2, n * modes))            # flat positions of a stage pair
+            held_n = held[n] = (
+                y, y[:2], y[:4], x, y[0].reshape(-1, modes), y[1].reshape(-1, modes),
+                x.reshape(-1, modes), y[2:4].reshape(-1, modes), y[4:].reshape(-1, modes),
+                np.repeat(neg_w2, 2 * n, axis=0), _kernel_work(2 * n, table))
+        y, y12, y14, x, y_a, y_b, pair, f12, f34, linear, work = held_n
+        if out is None:
+            out = np.empty((2, n, modes))
+        np.copyto(y_a, a)
+        np.copyto(y_b, b)
+        # the full force -(lam^2 - m^2) x - P(x) of each stage pair
+        np.dot(to12, y12, out=x)
+        np.multiply(linear, pair, out=f12)
+        f12 -= _project_power_raw(pair, exponent, table, work)
+        np.dot(to34, y14, out=x)
+        np.multiply(linear, pair, out=f34)
+        f34 -= _project_power_raw(pair, exponent, table, work)
+        np.dot(update, y, out=out.reshape(2, n * modes))
+        return out[0], out[1], None
     return rk4
 
 
@@ -411,10 +459,9 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
     dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
     stage = _stage(scheme, dt, table)
 
-    a = np.array([s.a for s in states], dtype=float)
-    b = np.array([s.b for s in states], dtype=float)
+    y = np.array([[s.a for s in states], [s.b for s in states]], dtype=float)
     for k, m in enumerate(members):
-        m.sample([m.t0], a[k:k + 1], b[k:k + 1], checked=True)
+        m.sample([m.t0], y[0, k:k + 1], y[1, k:k + 1], checked=True)
     active = list(range(len(members)))       # member of each stack row
     tracked = any(m.section is not None for m in members)
     on_a0 = np.array([m.section is not None and m.section.kind == "a0_equals"
@@ -424,16 +471,20 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
     kick = None                              # carried between steps by split2
 
     i = 0                                    # steps made before the block
+    blocks = None        # stack of the longest block, reused while the row count holds
     while active:
-        n = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // a.size),
-                min(members[k].horizon for k in active) - i)
-        stack_a = np.empty((n + 1, *a.shape))
-        stack_b = np.empty((n + 1, *a.shape))
-        stack_a[0], stack_b[0] = a, b
+        longest = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // y[0].size))
+        if blocks is None or blocks.shape[1:] != y.shape:
+            blocks = None                      # free the old stack first
+            blocks = np.empty((longest + 1, *y.shape))
+        n = min(longest, min(members[k].horizon for k in active) - i)
+        stack = blocks[:n + 1]                # step j writes its (a, b) into slot j
+        stack[0] = y
+        a, b = stack[0, 0], stack[0, 1]
         for j in range(1, n + 1):
-            a, b, kick = stage(a, b, kick)
-            stack_a[j], stack_b[j] = a, b
-        finite = bool(np.isfinite(stack_a).all() and np.isfinite(stack_b).all())
+            a, b, kick = stage(a, b, kick, stack[j])
+        stack_a, stack_b = stack[:, 0], stack[:, 1]
+        finite = bool(np.isfinite(stack).all())
 
         crossings: dict[int, list[int]] = {}  # stack row -> steps into the block
         if tracked:
@@ -478,16 +529,18 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
             if stops or m.error is not None:
                 leaving.append(r)
         i += n
-        del stack_a, stack_b                   # hold one block at a time
+        y = stack[n].copy()
+        del stack, stack_a, stack_b, a, b      # views of blocks, freed with it
 
         if leaving:
             keep = [r for r in range(len(active)) if r not in leaving]
             active = [active[r] for r in keep]
-            a, b = a[keep], b[keep]
+            y = y[:, keep]
             on_a0, levels = on_a0[keep], levels[keep]
             if kick is not None:
                 kick = kick[keep]
 
+    del stage, blocks    # the buffers, before the results copy every sample
     return [m.result(table) for m in members]
 
 

@@ -307,7 +307,24 @@ def _grid_power(g: np.ndarray, exponent: int) -> np.ndarray:
     return g ** exponent
 
 
-def _project_power_raw(a: np.ndarray, exponent: int, table: SpectrumTable) -> np.ndarray:
+def _kernel_work(rows: int, table: SpectrumTable):
+    """Buffers for one 1D kernel call on ``rows`` rows: the grid, its
+    power with a view of its first column, the offset as a vector and as
+    a column, and the coefficients with a view of their constant column.
+    None where the kernel takes the general path (beyond 1D, or a stack
+    deeper than one chunk), which reads no buffers."""
+    if len(table.grid_shape) != 1 or (rows > 1 and rows * table.n_nodes > _CHUNK_VALUES):
+        return None
+    grid, power = np.empty((rows, table.n_nodes)), np.empty((rows, table.n_nodes))
+    coeffs = np.empty((rows, table.mode_count))
+    if rows == 1:                        # the offset is a scalar
+        return grid, power, None, None, None, coeffs, None
+    offset = np.empty(rows)
+    return grid, power, power[:, 0], offset, offset[:, None], coeffs, coeffs[:, 0]
+
+
+def _project_power_raw(a: np.ndarray, exponent: int, table: SpectrumTable,
+                       work=None) -> np.ndarray:
     """Unchecked synthesis-power-analysis kernel (hot path of the integrators);
     takes one coefficient vector or a stack of them.  A stack with more grid
     values than one chunk is transformed in blocks of rows.
@@ -315,29 +332,38 @@ def _project_power_raw(a: np.ndarray, exponent: int, table: SpectrumTable) -> np
     A 1D stack within one chunk runs the same operations as
     ``_analysis(_grid_power(_synthesis(a)))`` inline, bit for bit equal to
     them: an integrator calls the kernel once or twice per step, and on a
-    small stack the nested calls add about a tenth to its cost.
+    small stack the nested calls add about a tenth to its cost.  That body
+    writes every product into buffers (``np.dot(..., out=)``, the same
+    bits as ``@``) and returns the coefficient buffer.  ``work`` is
+    optional: a single call leaves it None and gets fresh buffers, while
+    a time loop passes the ``_kernel_work(len(a), table)`` it holds, so
+    its calls allocate nothing, and each call overwrites the result of
+    the previous one.  ``_kernel_work`` gives None wherever the general
+    path applies, which always returns a new array.
     """
-    if a.ndim == 2:
+    if work is None and a.ndim == 2:
         if len(a) > 1 and len(a) * table.n_nodes > _CHUNK_VALUES:
             rows = max(1, _CHUNK_VALUES // table.n_nodes)
             return np.concatenate([_project_power_raw(a[i:i + rows], exponent, table)
                                    for i in range(0, len(a), rows)])
-        if len(table.grid_shape) == 1:
-            g = a @ table.factor
-            if exponent == 3:
-                u = g * g
-                u *= g
-            else:
-                u = g ** exponent
-            if len(u) == 1:
-                offset = u[0, 0]
-                u -= offset
-                coeffs = u @ table.factor_t_mean
-                coeffs[0, 0] += offset
-            else:
-                offset = u[:, :1].copy()
-                u -= offset
-                coeffs = u @ table.factor_t_mean
-                coeffs[:, :1] += offset
-            return coeffs
-    return _analysis(_grid_power(_synthesis(a, table), exponent), table)
+        work = _kernel_work(len(a), table)
+    if work is None:
+        return _analysis(_grid_power(_synthesis(a, table), exponent), table)
+    g, u, u_first, offset, offset_column, coeffs, coeffs_first = work
+    np.dot(a, table.factor, out=g)
+    if exponent == 3:
+        np.multiply(g, g, out=u)
+        u *= g
+    else:
+        np.power(g, exponent, out=u)
+    if len(u) == 1:
+        scalar = u[0, 0]
+        u -= scalar
+        np.dot(u, table.factor_t_mean, out=coeffs)
+        coeffs[0, 0] += scalar
+    else:
+        np.copyto(offset, u_first)
+        u -= offset_column
+        np.dot(u, table.factor_t_mean, out=coeffs)
+        coeffs_first += offset
+    return coeffs

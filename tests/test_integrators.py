@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from kgorbit import (NoCrossing, NonFiniteState, SectionSpec, State,
                      StepperConfig, dist_x, evolve, evolve_ensemble, homoclinic,
                      period, refine_crossing, rk4_step, split2_step)
 from kgorbit.integrators import _BLOCK_STEPS, _LinearFlow, _stage
-from kgorbit.spectra import _project_power_raw
+from kgorbit.spectra import _CHUNK_VALUES, _project_power_raw
 
 
 def planar(table, a0, b0=0.0, t=0.0):
@@ -493,9 +495,9 @@ class TestForceReuse:
         kernel = integrators._project_power_raw
         calls = []
 
-        def counted(a, exponent, table):
+        def counted(a, exponent, table, work=None):
             calls.append(len(a))
-            return kernel(a, exponent, table)
+            return kernel(a, exponent, table, work)
 
         monkeypatch.setattr(integrators, "_project_power_raw", counted)
         # split2 carries its closing force into the next step; rk4 stacks
@@ -627,3 +629,236 @@ class TestBlockLoop:
             self._assert_same(g, r, table, rel=1e-13)
             stops.add(round((g.times[-1] - g.times[0]) / 1e-2) // _BLOCK_STEPS)
         assert len(stops) >= 4
+
+
+def _numpy_bytes_held_during(call):
+    """Run ``call`` under tracemalloc, filtered to numpy's array-data
+    domain.  Returns the most array data that the call had allocated and
+    still held at any Python or C call and return inside it, and the
+    data it left allocated."""
+    domain = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def held():
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(domain).traces)
+
+    peak = 0
+
+    def profile(frame, event, arg):
+        nonlocal peak
+        peak = max(peak, held() - before)
+
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = held()
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return peak, held() - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def _random_stack(table, rows, rng):
+    a = 0.1 * rng.standard_normal((rows, table.mode_count))
+    b = 0.1 * rng.standard_normal((rows, table.mode_count))
+    a[:, 0] += 0.3
+    return a, b
+
+
+class TestWorkspaces:
+    """A stage writes into the slot it is handed and keeps its temporaries
+    in buffers it owns; no result shares memory with them."""
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    @pytest.mark.parametrize("cutoff, rows", [(8, 12), (32, 1)], ids=["1d_k8_e12", "1d_k32_one"])
+    def test_stage_into_slot_allocates_nothing(self, scheme, cutoff, rows, rng):
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=cutoff))
+        a, b = _random_stack(table, rows, rng)
+        stage = _stage(scheme, 1e-3, table)
+        first, second = np.empty((2, rows, table.mode_count)), np.empty((2, rows, table.mode_count))
+        _, _, kick = stage(a, b, None, first)       # warm-up: the stage allocates its buffers
+        peak, left = _numpy_bytes_held_during(lambda: stage(first[0], first[1], kick, second))
+        assert (peak, left) == (0, 0)
+        # the same call without a slot allocates the new (a, b) and nothing else
+        peak, left = _numpy_bytes_held_during(lambda: stage(first[0], first[1], kick))
+        assert left == 0 and peak == 2 * a.nbytes
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_slot_receives_the_step(self, table8, scheme, rng):
+        a, b = _random_stack(table8, 12, rng)
+        stage = _stage(scheme, 1e-2, table8)
+        fresh = stage(a, b)
+        out = np.empty((2, *a.shape))
+        into = stage(a, b, None, out)
+        assert into[0].base is out and into[1].base is out
+        assert np.array_equal(into[0], fresh[0]) and np.array_equal(into[1], fresh[1])
+        assert not np.shares_memory(fresh[0], fresh[1])
+        if scheme == "split2":
+            # the carried kick is the stage's own buffer, reused call after call
+            assert into[2] is stage(a, b, into[2], np.empty_like(out))[2]
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_results_share_no_memory(self, table8, scheme, monkeypatch, rng):
+        from kgorbit import integrators
+        stages = []
+
+        def recorded(*args):
+            stages.append(_stage(*args))
+            return stages[-1]
+
+        monkeypatch.setattr(integrators, "_stage", recorded)
+        starts = [TestBlockLoop._start(table8, 0.1 + 0.05 * k) for k in range(4)]
+        cfgs = [StepperConfig(dt=1e-2, scheme=scheme, max_time=T, sample_stride=3,
+                              section=SectionSpec("b0_equals", 0.0, "a0_left_of_center"))
+                for T in (5.0, 19.0, 40.0, 40.0)]
+        trajs = evolve_ensemble(starts, cfgs, table8)
+        arrays = [x for tr in trajs for x in (tr.times, tr.a, tr.b)]
+        arrays += [x for tr in trajs for _, st in tr.events for x in (st.a, st.b)]
+        assert sum(len(tr.events) for tr in trajs) >= 2
+        for i, x in enumerate(arrays):
+            assert not any(np.shares_memory(x, z) for z in arrays[i + 1:])
+        # running the run's stage on every member count it served writes
+        # all of its buffers; no result may change
+        kept = [x.copy() for x in arrays]
+        stage = stages[0]                  # the time loop's; refinement builds more
+        for rows in range(1, len(starts) + 1):
+            a, b = _random_stack(table8, rows, rng)
+            stage(a, b, None, np.empty((2, rows, table8.mode_count)))
+        assert all(np.array_equal(x, x0) for x, x0 in zip(arrays, kept))
+
+    def test_concurrent_runs_on_one_table(self, table8):
+        import threading
+        starts = [TestBlockLoop._start(table8, 0.05 + 0.02 * k) for k in range(6)]
+        runs = [[StepperConfig(dt=1e-2, scheme=scheme, max_time=3.0 + 0.7 * k, sample_stride=4,
+                               section=SectionSpec("a0_equals", 0.1, "b0_positive"))
+                 for k in range(6)] for scheme in ("split2", "rk4")]
+        sequential = [evolve_ensemble(starts, cfgs, table8) for cfgs in runs]
+        threaded = [None, None]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def run(k):
+            barrier.wait()
+            threaded[k] = evolve_ensemble(starts, runs[k], table8)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for seq, thr in zip(sequential, threaded):
+            for s, t in zip(seq, thr):
+                assert np.array_equal(s.times, t.times)
+                assert np.array_equal(s.a, t.a) and np.array_equal(s.b, t.b)
+                assert [(ts, st.a.tolist(), st.b.tolist()) for ts, st in s.events] == \
+                    [(ts, st.a.tolist(), st.b.tolist()) for ts, st in t.events]
+
+
+class TestBlockStack:
+    """The block loop against the per-step reference, bit for bit, where
+    both drop the same rows at the same steps."""
+
+    @staticmethod
+    def _aligned(table, scheme, members, blocks, dt=1e-2):
+        # member k runs exactly blocks[k % len(blocks)] full blocks, so a
+        # member leaves both loops at the same step, in different blocks
+        steps = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // (members * table.mode_count)))
+        starts, cfgs = [], []
+        sections = [SectionSpec("b0_equals", 0.0, "a0_left_of_center"), None,
+                    SectionSpec("a0_equals", 0.2, "b0_positive")]
+        for k in range(members):
+            s = TestBlockLoop._start(table, 0.05 + 0.3 * k / members)
+            s.t = 0.5 * k
+            starts.append(s)
+            cfgs.append(StepperConfig(dt=dt, scheme=scheme, sample_stride=3,
+                                      max_time=steps * blocks[k % len(blocks)] * dt,
+                                      section=sections[k % 3]))
+        return starts, cfgs
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    @pytest.mark.parametrize("model, members, blocks", [
+        (dict(m=0.5, p=1, dim=1, cutoff=8), 1, (3,)),
+        (dict(m=0.5, p=1, dim=1, cutoff=8), 12, (1, 4, 2, 3)),
+        (dict(m=0.5, p=1, dim=2, cutoff=3, periods=(2.0, 0.5)), 3, (1, 2)),
+        (dict(m=0.5, p=1, dim=3, cutoff=2, periods=(1.0, 1.0, 1.0)), 3, (2, 1)),
+    ], ids=["1d_k8_one", "1d_k8_e12", "2d_rect_k3_e3", "3d_k2_e3"])
+    def test_equals_reference(self, scheme, model, members, blocks):
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(**model))
+        starts, cfgs = self._aligned(table, scheme, members, blocks)
+        got = evolve_ensemble(starts, cfgs, table)
+        ref = evolve_reference(starts, cfgs, table)
+        for g, r in zip(got, ref):
+            TestBlockLoop._assert_same(g, r, table)
+        assert len({len(g.times) for g in got}) == min(members, len(blocks))
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_stack_deeper_than_one_chunk(self, scheme):
+        # 300 rows of 129 grid values pass one 2^15-value chunk, so every
+        # force evaluation runs the kernel in row blocks
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=32))
+        assert 300 * table.n_nodes > _CHUNK_VALUES
+        starts, cfgs = self._aligned(table, scheme, 300, (3, 5), dt=1e-3)
+        got = evolve_ensemble(starts, cfgs, table)
+        ref = evolve_reference(starts, cfgs, table)
+        for g, r in zip(got, ref):
+            TestBlockLoop._assert_same(g, r, table)
+
+    def test_block_length_counts_positions_only(self, monkeypatch):
+        # 12 members of 65 modes: 2^15 // (12 * 65) = 42 steps per block,
+        # from the positions alone, not the (2, rows, modes) phase-space pair
+        from kgorbit import ModelParams, build_spectrum, integrators
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=32))
+        blocks, depths = [], set()
+
+        def recorded(*args):
+            stage = _stage(*args)
+
+            def counted(a, b, kick=None, out=None):
+                slot = (out.ctypes.data - out.base.ctypes.data) // out.nbytes
+                if slot == 1:                  # step 1 opens a block
+                    blocks.append(0)
+                blocks[-1] += 1
+                depths.add(len(out.base))
+                return stage(a, b, kick, out)
+            return counted
+
+        monkeypatch.setattr(integrators, "_stage", recorded)
+        starts = [TestBlockLoop._start(table, 0.05 + 0.01 * k) for k in range(12)]
+        cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=0.1, sample_stride=10)
+        evolve_ensemble(starts, [cfg] * 12, table)
+        assert blocks == [42, 42, 16] and depths == {42 + 1}
+
+
+class TestRefinementSteps:
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_trial_steps_use_the_public_step(self, table, scheme, monkeypatch):
+        # refinement takes every trial step through the module's public
+        # step function, where a profiler of the public API counts it
+        from kgorbit import integrators
+        name = f"{scheme}_step"
+        step = getattr(integrators, name)
+        calls = []
+
+        def counted(s, dt, table):
+            calls.append(dt)
+            return step(s, dt, table)
+
+        monkeypatch.setattr(integrators, name, counted)
+        s0 = TestBlockLoop._start(table)
+        cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=20.0, sample_stride=50,
+                            section=SectionSpec("b0_equals", 0.0, "a0_left_of_center"))
+        traj = evolve(s0, cfg, table, max_events=1)
+        assert len(traj.events) == 1 and len(calls) > 5
+        assert all(0.0 < dt < cfg.dt for dt in calls)
