@@ -21,6 +21,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy loads numpy.random lazily on first use; importing it here keeps
+# that cost out of the first perturb_near_orbit of a run.
+from numpy.random import default_rng
 
 from .errors import (EmptyModeSet, DimensionMismatch, InsufficientSamples, NonFiniteState,
                      NoReturn, ValidationError)
@@ -189,7 +192,7 @@ def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable)
     else:
         if spec.seed is None:
             raise ValidationError("random_direction requires a seed")
-        rng = np.random.default_rng(spec.seed)
+        rng = default_rng(spec.seed)
         da[modes] = rng.standard_normal(modes.size)
         db[modes] = rng.standard_normal(modes.size)
 
@@ -387,24 +390,18 @@ def bound_check_I(trajectory: Trajectory) -> IBoundCheck:
     if np.all(I_vals == 0.0):
         return IBoundCheck(c_max=None, n_points=0, vacuous=True, flagged_times=[])
     p = trajectory.table.params.p
-    c_max = 0.0
-    n_pts = 0
-    flagged = []
-    for i in range(1, n - 1):
-        dI = (I_vals[i + 1] - I_vals[i - 1]) / (t[i + 1] - t[i - 1])
-        a0, b0 = float(trajectory.a[i, 0]), float(trajectory.b[i, 0])
-        rhs_val = abs(a0) ** (2 * p - 1) * abs(b0) * I_vals[i] + I_vals[i] ** 1.5
-        if rhs_val <= 0.0:
-            if abs(dI) > 0.0:
-                flagged.append(float(t[i]))
-            continue
-        ratio = abs(dI) / rhs_val
-        n_pts += 1
-        if ratio > _RATIO_CAP:
-            flagged.append(float(t[i]))
-        c_max = max(c_max, ratio)
-    return IBoundCheck(c_max=c_max if n_pts else None, n_points=n_pts,
-                       vacuous=False, flagged_times=flagged)
+    dI = (I_vals[2:] - I_vals[:-2]) / (t[2:] - t[:-2])
+    I_mid = I_vals[1:-1]
+    rhs = (np.abs(trajectory.a[1:-1, 0]) ** (2 * p - 1) * np.abs(trajectory.b[1:-1, 0])
+           * I_mid + I_mid ** 1.5)
+    valid = rhs > 0.0
+    ratio = np.abs(dI[valid]) / rhs[valid]
+    # a zero right-hand side flags any change of I; a positive one, a ratio over the cap
+    flag = ~valid & (dI != 0.0)
+    flag[valid] = ratio > _RATIO_CAP
+    return IBoundCheck(c_max=float(ratio.max()) if ratio.size else None,
+                       n_points=int(ratio.size), vacuous=False,
+                       flagged_times=t[1:-1][flag].tolist())
 
 
 def phi_envelope_fit(trajectory: Trajectory, eta: float) -> dict:

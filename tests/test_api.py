@@ -2,8 +2,11 @@
 
 import importlib
 import inspect
+import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -38,3 +41,19 @@ def test_readme_quick_start_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("True ")
+
+
+def test_import_loads_no_scipy_and_loads_numpy_random():
+    # scipy.integrate alone added about 40 MiB to the peak RSS of every
+    # run; numpy.random is imported up front because numpy loads it
+    # lazily, inside the first perturbation of a timed run otherwise
+    import kgorbit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kgorbit.__file__)))
+    code = ("import json, sys; import kgorbit, kgorbit.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    modules = json.loads(out)
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+    assert "numpy.random" in modules

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import ellipj, ellipkm1
 
 from kgorbit import (Loop, ModelParams, OutOfRange, PlanarState,
@@ -13,9 +14,32 @@ from kgorbit import (Loop, ModelParams, OutOfRange, PlanarState,
                      invert_potential, period, potential_f, project_to_orbit,
                      sample_orbit, turning_point)
 from kgorbit import stationary
-from kgorbit.stationary import _project
+from kgorbit.stationary import _GL_NODES, _GL_WEIGHTS, _project, _w_factor
 
 M = 0.5  # the mass of the params fixture
+
+
+def quad_period(eta, params):
+    """The period by adaptive quadrature of the same two half-integrands:
+    the reference for the fixed Gauss-Legendre rule of ``period``."""
+    eta_p = turning_point(eta, params)
+    x_mid = params.center
+
+    def left(sigma):
+        alpha = eta * np.cosh(sigma)
+        val = (eta_p ** 2 - alpha ** 2) * _w_factor(alpha, eta, eta_p, params)
+        return 1.0 / np.sqrt(val)
+
+    def right(s):
+        alpha = eta_p - s * s
+        val = (alpha ** 2 - eta ** 2) * (eta_p + alpha) * _w_factor(alpha, eta, eta_p, params)
+        return 2.0 / np.sqrt(val)
+
+    sigma_max = float(np.arccosh(x_mid / eta))
+    s_max = float(np.sqrt(eta_p - x_mid))
+    t_left, _ = quad(left, 0.0, sigma_max, epsabs=1e-12, epsrel=1e-12, limit=200)
+    t_right, _ = quad(right, 0.0, s_max, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return 2.0 * (t_left + t_right)
 
 
 class TestHomoclinic:
@@ -108,6 +132,46 @@ class TestPeriod:
             eta_p = math.sqrt(2.0 * params.m ** 2 - eta ** 2)
             expect = 2.0 * ellipkm1((eta / eta_p) ** 2) / (eta_p / math.sqrt(2.0))
             assert period(eta, params) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_adaptive_quadrature(self, p):
+        # measured gap at most 1.0e-15 relative (4.5 ulps) on this grid; the
+        # conditioning of turning_point grows toward the center (32 ulps,
+        # 6.4e-15, at 0.999 center), so the bound leaves a factor 4
+        params = ModelParams(m=M, p=p, dim=1, cutoff=4)
+        for eta in np.logspace(-6, math.log10(0.99 * params.center), 25):
+            assert period(eta, params) == pytest.approx(
+                quad_period(eta, params), rel=4e-15, abs=0.0)
+
+
+class TestGaussLegendre:
+    def test_matches_40_digit_rule(self):
+        # the same Newton iteration in 40-digit arithmetic, rounded once:
+        # every float64 node and weight must be the correctly rounded one
+        import mpmath
+        n = len(_GL_NODES)
+        with mpmath.workdps(40):
+            for k, (node, weight) in enumerate(zip(_GL_NODES, _GL_WEIGHTS), start=1):
+                x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(0.25)) / (n + mpmath.mpf(0.5)))
+                for _ in range(100):
+                    p_prev, p_n = mpmath.mpf(1), x
+                    for j in range(2, n + 1):
+                        p_prev, p_n = p_n, ((2 * j - 1) * x * p_n - (j - 1) * p_prev) / j
+                    dp = n * (x * p_n - p_prev) / (x * x - 1)
+                    step = p_n / dp
+                    x -= step
+                    if abs(step) < mpmath.mpf(10) ** -38:
+                        break
+                assert node == float((1 + x) / 2)
+                assert weight == float(1 / ((1 - x * x) * dp * dp))
+
+    def test_integrates_polynomials(self):
+        # weights sum to 1 on [0, 1] (2 on [-1, 1]), and the 64-node rule
+        # is exact for degree <= 127: measured within 4 eps of 1/(k + 1)
+        assert math.fsum(_GL_WEIGHTS) == 1.0
+        for k in range(128):
+            assert np.dot(_GL_WEIGHTS, _GL_NODES ** k) * (k + 1) == pytest.approx(
+                1.0, rel=8 * np.finfo(float).eps, abs=0.0)
 
 
 class TestSampleOrbit:
