@@ -140,7 +140,7 @@ def _parse_scalar(raw: str, tag, line_no: int, key: str):
             return tuple(_parse_scalar(it, inner, line_no, key) for it in items)
     except ParseError:
         raise
-    except ValueError:
+    except (ValueError, OverflowError):  # int(inf) overflows
         pass
     raise ParseError(line_no, key, f"cannot parse {raw!r} as {tag}")
 

@@ -67,6 +67,7 @@ refinement rejects are counted per member, by reason.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -126,10 +127,14 @@ class StepperConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
         if self.scheme not in ("split2", "rk4"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.max_time > 0:
             raise ValueError("max_time must be positive")
+        if not math.isfinite(self.max_time):
+            raise ValueError("max_time must be finite")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

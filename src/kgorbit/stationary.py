@@ -22,6 +22,7 @@ finds the turning point and every projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,12 +428,14 @@ def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable):
 
 
 def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:
-    """Raise OutOfRange unless every driven-mode eigenvalue exceeds m
-    (a nonconstant mode; ``lambda_n`` is a number or a sequence)."""
+    """Raise OutOfRange unless every driven-mode eigenvalue is finite and
+    exceeds m (a nonconstant mode; ``lambda_n`` is a number or a sequence)."""
     for lam in (lambda_n if np.ndim(lambda_n) else (lambda_n,)):
         if not lam > params.m:
             raise OutOfRange(
                 f"mode eigenvalue must exceed m = {params.m}, got {lam!r}")
+        if not math.isfinite(lam):
+            raise OutOfRange(f"mode eigenvalue must be finite, got {lam!r}")
 
 
 def _step_propagators(c1, c2, c3, c4, h):

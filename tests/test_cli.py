@@ -125,6 +125,21 @@ class TestParse:
             parse_config(MINIMAL.replace("m = 0.5", "m = half"))
         assert err.value.key == "m"
 
+    @pytest.mark.parametrize("old,new,line,key", [
+        ("cutoff = 4", "cutoff = 1e400", 5, "cutoff"),
+        ("eta = 0.1", "eta = 0.1\nmodes = 1,1e400", 16, "modes"),
+    ], ids=["int", "int_list"])
+    def test_overflowing_integer(self, old, new, line, key):
+        with pytest.raises(ParseError) as err:
+            parse_config(MINIMAL.replace(old, new))
+        assert (err.value.line, err.value.key) == (line, key)
+
+    def test_infinite_floquet_lambda(self):
+        with pytest.raises(ValidationError, match="must be finite, got inf"):
+            parse_config(MINIMAL.replace(
+                "kind = simulate\neta = 0.1",
+                "kind = floquet\neta_list = 0.1\nlambdas = 6.5,inf"))
+
     def test_mass_gate_surfaces_constraint(self):
         with pytest.raises(ValidationError) as err:
             parse_config(MINIMAL.replace("m = 0.5", "m = 7"))
@@ -370,13 +385,24 @@ class TestMain:
         assert record["error"]["type"] == "ParseError"
         assert record["error"]["key"] == "m"
 
+    def test_overflowing_integer_record(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MINIMAL.replace("cutoff = 4", "cutoff = 1e400"))
+        assert main(["--config", str(cfg_path)]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError"
+        assert (error["line"], error["key"]) == (5, "cutoff")
+
     def test_bad_stepper_value_record(self, tmp_path, capsys):
         floquet_text = MINIMAL.replace(
             "kind = simulate\neta = 0.1",
             "kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586")
         for old, new, message in (("dt = 1e-3", "dt = 0", "dt must be positive"),
+                                  ("dt = 1e-3", "dt = inf", "dt must be finite"),
                                   ("max_time = 2.0", "max_time = -1",
                                    "max_time must be positive"),
+                                  ("max_time = 2.0", "max_time = inf",
+                                   "max_time must be finite"),
                                   ("sample_stride = 100", "sample_stride = 0",
                                    "sample_stride must be >= 1")):
             cfg_path = tmp_path / "bad.cfg"

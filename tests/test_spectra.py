@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgorbit import (AssumptionViolated, DimensionMismatch, ModelParams, State,
-                     build_spectrum, energy_breakdown, project_power, q_vector,
-                     to_grid, to_modes)
+from kgorbit import (AssumptionViolated, DimensionMismatch, Mode, ModelParams, State,
+                     StepperConfig, build_spectrum, energy_breakdown, evolve,
+                     project_power, q_vector, to_grid, to_modes)
 from kgorbit.spectra import (_CHUNK_VALUES, _analysis, _grid_power, _project_power_raw,
                              _synthesis)
 
@@ -65,6 +68,99 @@ class TestBuildSpectrum:
     def test_1d_mode_order_is_tensor_order(self, table8):
         assert np.array_equal(table8.order, np.arange(table8.mode_count))
         assert np.array_equal(table8.basis, table8.factor)
+
+
+def itertools_spectrum(params):
+    """The enumerate-and-sort mode order that ``build_spectrum`` replaced:
+    one record per ``itertools.product`` combination of per-axis factor
+    rows, sorted on (lambda^2, wavevector, kind codes) tuples.  Returns
+    (order, lam_sq, lam, modes).  lambda^2 adds the axes left to right, as
+    ``sum`` does on floats before Python 3.12."""
+    K, dim, periods = params.cutoff, params.dim, params.periods
+    kind_code = {"const": 0, "cos": 1, "sin": 2}
+    axis_factors = [(0, "const")] + [(k, t) for k in range(1, K + 1) for t in ("cos", "sin")]
+    records = []
+    for flat, combo in enumerate(itertools.product(axis_factors, repeat=dim)):
+        wavevector = tuple(k for k, _ in combo)
+        kinds = tuple(t for _, t in combo)
+        lam_sq = 0
+        for k, L in zip(wavevector, periods):
+            lam_sq += (2.0 * math.pi * k / L) ** 2
+        records.append((lam_sq, wavevector, tuple(kind_code[t] for t in kinds), kinds, flat))
+    records.sort(key=lambda r: (r[0], r[1], r[2]))
+    lam_sq = np.array([r[0] for r in records])
+    modes = tuple(Mode(index=idx, wavevector=wavevector, kinds=kinds, lam=float(math.sqrt(ls)))
+                  for idx, (ls, wavevector, _, kinds, _) in enumerate(records))
+    return np.array([r[4] for r in records], dtype=np.intp), lam_sq, np.sqrt(lam_sq), modes
+
+
+def _assert_bits_equal(value, ref):
+    assert value.dtype == ref.dtype and value.shape == ref.shape
+    assert value.tobytes() == ref.tobytes()
+
+
+def _assert_matches_reference(params):
+    table = build_spectrum(params)
+    order, lam_sq, lam, modes = itertools_spectrum(params)
+    _assert_bits_equal(table.order, order)
+    _assert_bits_equal(table.inverse, np.argsort(order))
+    _assert_bits_equal(table.lam_sq, lam_sq)
+    _assert_bits_equal(table.lam, lam)
+    assert table.modes == modes
+    for mode in table.modes:
+        assert all(type(k) is int for k in mode.wavevector)
+        assert type(mode.index) is int and type(mode.lam) is float
+
+
+_REFERENCE_CASES = (
+    [((1.0,), K, p) for K in (1, 8, 32) for p in (1, 2, 3)]
+    + [(periods, 8, p) for periods in ((1.0, 1.0), (2.0, 0.5), (10.0, 0.1)) for p in (1, 2, 3)]
+    + [((2.0, 0.5, 1.0), 3, 1), ((1.0, 1.0, 1.0), 8, 1)]
+    # With glibc's pow, (2 pi / 0.595) ** 2 is one ulp off w * w, so this
+    # case pins that the table squares each axis term as ``**`` does.
+    + [((0.595, 1.0 / 0.595), 4, 1)])
+
+
+@st.composite
+def _admissible_tori(draw):
+    """(dim, K, p, periods) with volume 1 and every side below 2 pi / m
+    for m = 0.1; sides are either powers of two, which make eigenvalues
+    of different wavevectors tie, or arbitrary."""
+    dim = draw(st.integers(1, 3))
+    sides = [draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]),
+                            st.floats(0.2, 5.0)))
+             for _ in range(dim - 1)]
+    periods = tuple(sides) + (1.0 / math.prod(sides),)
+    p = 1 if dim == 3 else draw(st.integers(1, 3))
+    return dim, draw(st.integers(1, 5)), p, periods
+
+
+class TestArrayBuild:
+    """``build_spectrum`` against the enumerate-and-sort reference, bit for bit."""
+
+    @pytest.mark.parametrize("periods,K,p", _REFERENCE_CASES,
+                             ids=[f"{periods}_k{K}_p{p}" for periods, K, p in _REFERENCE_CASES])
+    def test_matches_itertools_reference(self, periods, K, p):
+        _assert_matches_reference(ModelParams(m=0.05, p=p, dim=len(periods), cutoff=K,
+                                              periods=periods))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(torus=_admissible_tori())
+    def test_matches_itertools_reference_on_admissible_tori(self, torus):
+        dim, K, p, periods = torus
+        _assert_matches_reference(ModelParams(m=0.1, p=p, dim=dim, cutoff=K, periods=periods))
+
+    def test_3d_run_builds_no_mode_records(self, rng):
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=3, cutoff=2,
+                                           periods=(1.0, 1.0, 1.0)))
+        a = np.zeros(table.mode_count)
+        a[0], a[1:] = 0.6, 1e-3 * rng.standard_normal(table.mode_count - 1)
+        traj = evolve(State(a, np.zeros(table.mode_count)),
+                      StepperConfig(dt=1e-2, scheme="split2", max_time=0.2, sample_stride=5),
+                      table)
+        assert np.all(np.isfinite(traj.energy.H))
+        assert "modes" not in table.__dict__
+        assert table.modes[0].kinds == ("const",) * 3 and "modes" in table.__dict__
 
 
 class TestTransforms:

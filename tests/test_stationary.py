@@ -591,3 +591,8 @@ class TestFloquet:
             floquet(orbit, 0.3, params)
         with pytest.raises(OutOfRange, match="0.3"):
             floquet(orbit, [2 * math.pi, 0.3], params)
+
+    @pytest.mark.parametrize("lambdas", [math.inf, [2 * math.pi, math.inf]])
+    def test_requires_finite_lambda(self, params, lambdas):
+        with pytest.raises(OutOfRange, match="finite"):
+            floquet(sample_orbit(0.1, 64, params), lambdas, params)
