@@ -228,6 +228,16 @@ def _validate(values: dict) -> RunConfig:
             check_eta(e, params)
     except OutOfRange as exc:
         raise ValidationError(str(exc)) from exc
+    rate, eta = experiment.loop_rate, experiment.eta
+    if not (rate > 0 and math.isfinite(rate * math.log(1.0 / eta) if eta else rate)):
+        raise ValidationError("loop_rate must be > 0 and give a finite loop count "
+                              f"ceil(loop_rate ln(1/eta)), got {rate!r}")
+    if experiment.loop_budget is not None and experiment.loop_budget < 1:
+        raise ValidationError(f"loop_budget must be >= 1, got {experiment.loop_budget}")
+    for key in ("drift_tol", "dist_coefficient"):   # verdict thresholds, written to JSON
+        value = getattr(experiment, key)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"{key} must be finite and >= 0, got {value!r}")
 
     out = values["output"]
     return RunConfig(model=params, stepper=stepper, experiment=experiment,
@@ -304,34 +314,37 @@ def _band(cfg: RunConfig):
     return default_band(cfg.model)
 
 
-def _perturbation(cfg: RunConfig, table, eta: float, seed=None) -> PerturbationSpec:
+def _initial_state(cfg: RunConfig, table, eta: float, seed=None):
+    """The configured perturbation of the loop's turning point (eta, 0):
+    amplitude eta^3 into modes 1..8 unless the config sets them."""
     ex = cfg.experiment
     amplitude = ex.amplitude if ex.amplitude is not None else eta ** 3
     modes = ex.modes if ex.modes else tuple(range(1, min(9, table.mode_count)))
-    return PerturbationSpec(
-        amplitude=amplitude, mode_set=modes, distribution=ex.distribution,
-        seed=seed if seed is not None else ex.seed)
-
-
-def _initial_state(cfg: RunConfig, table, eta: float, seed=None,
-                   default_planar: bool = False):
-    ex = cfg.experiment
-    if default_planar and ex.amplitude is None and ex.modes is None:
-        spec = PerturbationSpec(amplitude=0.0, mode_set=())
-    else:
-        spec = _perturbation(cfg, table, eta, seed)
+    spec = PerturbationSpec(amplitude=amplitude, mode_set=modes, distribution=ex.distribution,
+                            seed=seed if seed is not None else ex.seed)
     return perturb_near_orbit(eta, spec, table)
+
+
+def _evolve_with_drift(cfg: RunConfig, table):
+    """Evolve the start of ``simulate`` and ``energy-check``, the turning
+    point itself unless amplitude or modes are set; returns the trajectory,
+    its H - H(0) series and that series' least-squares slope."""
+    ex = cfg.experiment
+    if ex.amplitude is None and ex.modes is None:
+        s0 = perturb_near_orbit(ex.eta, PerturbationSpec(amplitude=0.0, mode_set=()), table)
+    else:
+        s0 = _initial_state(cfg, table, ex.eta)
+    traj = evolve(s0, cfg.stepper, table)
+    dh = traj.energy.H - traj.energy.H[0]
+    return traj, dh, linear_fit(traj.times, dh)["slope"]
 
 
 def _run_simulate(cfg: RunConfig, table, out: dict):
     eta = cfg.experiment.eta
-    s0 = _initial_state(cfg, table, eta, default_planar=True)
-    traj = evolve(s0, cfg.stepper, table)
-    h = traj.energy.H
-    drift = linear_fit(traj.times, h - h[0])["slope"] if len(h) > 1 else 0.0
+    traj, _, drift = _evolve_with_drift(cfg, table)
     out["csv"] = (["t", "a0", "b0", "H", "J", "I", "r"],
-                  list(zip(traj.times, traj.a[:, 0], traj.b[:, 0],
-                           h, traj.energy.J, traj.energy.I, traj.energy.r)))
+                  list(zip(traj.times, traj.a[:, 0], traj.b[:, 0], traj.energy.H,
+                           traj.energy.J, traj.energy.I, traj.energy.r)))
     out["json"] = {
         "experiment": "simulate", "eta": eta, "H_drift": drift,
         "max_J": float(traj.energy.J.max()), "final_time": float(traj.times[-1]),
@@ -450,10 +463,7 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
 
 def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
-    s0 = _initial_state(cfg, table, ex.eta, default_planar=True)
-    traj = evolve(s0, cfg.stepper, table)
-    dh = traj.energy.H - traj.energy.H[0]
-    drift = linear_fit(traj.times, dh)["slope"]
+    traj, dh, drift = _evolve_with_drift(cfg, table)
     anomaly = abs(drift) > ex.drift_tol
     out["csv"] = (["t", "H_minus_H0"], list(zip(traj.times, dh)))
     out["json"] = {

@@ -27,8 +27,8 @@ from numpy.random import default_rng
 
 from .errors import (EmptyModeSet, DimensionMismatch, InsufficientSamples, NonFiniteState,
                      NoReturn, ValidationError)
-from .hamiltonian import (State, _phi, dist_x, energy_breakdown, i_j_equivalence_bound,
-                          potential_f)
+from .hamiltonian import (State, dist_x, energy_breakdown, i_j_equivalence_bound,
+                          potential_f, xnorm)
 from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
 from .spectra import ModelParams, SpectrumTable
 from .stationary import DeltaBand, dist_to_orbit, invert_potential, period
@@ -66,8 +66,9 @@ class PerturbationSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValidationError("perturbation amplitude must be >= 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValidationError(
+                f"perturbation amplitude must be finite and >= 0, got {self.amplitude!r}")
         if self.distribution not in ("equipartition", "single_mode", "random_direction"):
             raise ValidationError(f"unknown distribution {self.distribution!r}")
         object.__setattr__(self, "mode_set", tuple(int(k) for k in self.mode_set))
@@ -196,8 +197,7 @@ def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable)
         da[modes] = rng.standard_normal(modes.size)
         db[modes] = rng.standard_normal(modes.size)
 
-    size = float(np.sqrt(np.sum((weights * da) ** 2)) + np.sqrt(np.sum(db ** 2)))
-    scale = spec.amplitude / size
+    scale = spec.amplitude / xnorm(State(da, db), table)
     return State(a + scale * da, b + scale * db, 0.0)
 
 
@@ -406,12 +406,16 @@ def bound_check_I(trajectory: Trajectory) -> IBoundCheck:
 
 def phi_envelope_fit(trajectory: Trajectory, eta: float) -> dict:
     """Fit the envelope |phi(t)| <= C min(1, t^2) along a run started on
-    the loop at (eta, 0); returns the fitted C and the phi series."""
+    the loop at (eta, 0); returns the fitted C and the phi series.
+
+    phi is the rescaled level drift, eta^5 phi = -2 (J - J(0)) - 2 (r - r(0)),
+    so that along exact trajectories b0^2 + f(a0) = f(eta) + eta^5 phi(t).
+    """
     if len(trajectory.times) < 2:
         raise InsufficientSamples("need at least 2 samples")
     J, r = trajectory.energy.J, trajectory.energy.r
     t0 = float(trajectory.times[0])
-    phis = _phi(J, r, J[0], r[0], eta)
+    phis = (-2.0 * (J - J[0]) - 2.0 * (r - r[0])) / eta ** 5
     rel_t = trajectory.times - t0
     env = np.minimum(1.0, rel_t ** 2)
     mask = env > 0.0

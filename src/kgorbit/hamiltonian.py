@@ -16,6 +16,10 @@ energy J, and the nonlinear remainder r.  A second split H = b0^2/2
 into the quadratic part.  Both identities hold exactly here (up to
 rounding) because the grid quadrature is exact.
 
+Closeness to a loop is measured in one energy-space norm, computed only in
+``_xnorm_rows``: ``xnorm`` (and through it ``dist_x`` and the amplitude of
+``perturb_near_orbit``) and ``dist_to_orbit`` all evaluate it there.
+
 Sign convention: the planar force is force(x) = m^2 x - x^(2p+1), so the
 constant mode obeys db0/dt = force(a0) - q0 and the conserved planar level
 is b0^2 + f(a0) (no 1/2); f itself only ever enters level-set relations.
@@ -32,9 +36,9 @@ from .spectra import (ModelParams, SpectrumTable, _analysis, _grid_power,
                       _project_power_raw, _synthesis)
 
 __all__ = [
-    "State", "EnergyBreakdown", "potential_f", "f_prime", "force",
-    "hamiltonian", "rhs", "q_vector", "energy_breakdown", "xnorm",
-    "dist_x", "phi_diagnostic", "i_j_equivalence_bound", "validate_state",
+    "State", "EnergyBreakdown", "potential_f", "force", "hamiltonian", "rhs",
+    "energy_breakdown", "xnorm", "dist_x", "i_j_equivalence_bound",
+    "validate_state",
 ]
 
 
@@ -87,11 +91,6 @@ def potential_f(x: float, params: ModelParams):
     return -params.m ** 2 * x ** 2 + x ** (2 * params.p + 2) / (params.p + 1)
 
 
-def f_prime(x: float, params: ModelParams):
-    """Derivative of potential_f; equals -2 * force."""
-    return 2.0 * (x ** (2 * params.p + 1) - params.m ** 2 * x)
-
-
 def _bound_force(params: ModelParams):
     """The planar force with ``params`` bound once: a callable
     x -> m^2 x - x^(2p+1) whose constants are closure values, for loops
@@ -133,44 +132,30 @@ def rhs(s: State, table: SpectrumTable) -> State:
     return State(da, db, s.t)
 
 
-def q_vector(s: State, table: SpectrumTable) -> np.ndarray:
-    """Coefficients q_k of the nonlinear coupling remainder.
-
-    q_k = <(a0 + U)^(2p+1) - a0^(2p+1) - (2p+1) a0^(2p) U, e_k> with
-    U = sum_{k>=1} a_k e_k.  Quadratic and higher in U; identically zero
-    when the high modes vanish.
-    """
-    validate_state(s, table)
-    return _q_from_grid(_synthesis(s.a, table), float(s.a[0]), table)
-
-
-def _q_from_grid(g: np.ndarray, a0, table: SpectrumTable) -> np.ndarray:
-    p = table.params.p
-    a0 = np.asarray(a0)[..., None]
-    u_high = g - a0            # grid values of U; exactly zero for planar states
-    integrand = _grid_power(g, 2 * p + 1) - a0 ** (2 * p + 1) \
-        - (2 * p + 1) * a0 ** (2 * p) * u_high
-    return _analysis(integrand, table)
-
-
 def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     """All energy diagnostics of a state, each from its own definition.
 
-    ``s`` may also hold a stack of samples, a and b shaped (S, modes);
+    q holds the coefficients of the nonlinear coupling remainder
+    (a0 + U)^(2p+1) - a0^(2p+1) - (2p+1) a0^(2p) U, U = sum_{k>=1} a_k e_k,
+    quadratic and higher in U and identically zero when the high modes
+    vanish; q0 is its constant coefficient and q_norm the l2 norm of the
+    rest.  ``s`` may also hold a stack of samples, a and b shaped (S, modes);
     every field is then an array of S values.
     """
     stacked = s.a.ndim == 2
     validate_state(s, table, stacked)
     params = table.params
     m2, p = params.m ** 2, params.p
-    a0 = s.a[..., 0]
+    a0, a0_col = s.a[..., 0], s.a[..., :1]
 
     g = _synthesis(s.a, table)
     H, mean_pow = _energy(s, g, table)
     J = 0.5 * np.sum((table.lam_sq[1:] - m2) * s.a[..., 1:] ** 2 + s.b[..., 1:] ** 2, axis=-1)
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
     shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * np.sum(s.a[..., 1:] ** 2, axis=-1)
-    q = _q_from_grid(g, a0, table)
+    # g - a0 is U on the grid, exactly zero for planar states
+    q = _analysis(_grid_power(g, 2 * p + 1) - a0_col ** (2 * p + 1)
+                  - (2 * p + 1) * a0_col ** (2 * p) * (g - a0_col), table)
     values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift,
                   q_norm=np.linalg.norm(q[..., 1:], axis=-1), q0=q[..., 0],
                   f_a0=potential_f(a0, params))
@@ -178,36 +163,38 @@ def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     return EnergyBreakdown(**{k: convert(v) for k, v in values.items()})
 
 
-def xnorm(s: State, table: SpectrumTable) -> float:
+def xnorm(s: State, table: SpectrumTable):
     """Energy-space norm: h1 norm of the position part plus l2 norm of the
-    velocity part, ||u||_h1 = sqrt(sum (1 + lam_n^2) a_n^2)."""
-    if s.a.shape != (table.mode_count,) or s.b.shape != (table.mode_count,):
-        raise DimensionMismatch("state/table mode count mismatch")
-    return float(np.sqrt(np.sum((1.0 + table.lam_sq) * s.a ** 2))
-                 + np.sqrt(np.sum(s.b ** 2)))
+    velocity part, sqrt(sum (1 + lam_n^2) a_n^2) + sqrt(sum b_n^2).
 
-
-def dist_x(s1: State, s2: State, table: SpectrumTable) -> float:
-    """Energy-space distance between two states over the same table."""
-    return xnorm(State(s1.a - s2.a, s1.b - s2.b), table)
-
-
-def phi_diagnostic(s: State, s0_breakdown: EnergyBreakdown, eta: float,
-                   table: SpectrumTable) -> float:
-    """Rescaled level drift phi with eta^5 phi = -2 (J - J(0)) - 2 (r - r(0)).
-
-    Along exact trajectories started at (a0, b0) = (eta, 0) this satisfies
-    b0^2 + f(a0) = f(eta) + eta^5 phi(t).
+    ``s`` is one state (returns a float) or a stack with ``a``/``b`` shaped
+    (S, modes) (returns an (S,) array); the one-state call is the one-row
+    case.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    bd = energy_breakdown(s, table)
-    return _phi(bd.J, bd.r, s0_breakdown.J, s0_breakdown.r, eta)
+    shape = s.a.shape
+    if shape[-1:] != (table.mode_count,) or s.b.shape != shape or len(shape) > 2:
+        raise DimensionMismatch(
+            f"state has shapes {s.a.shape}/{s.b.shape}, table has {table.mode_count} modes")
+    a, b = np.atleast_2d(s.a, s.b)
+    norm = _xnorm_rows(a[:, 0], b[:, 0], a, b, table)
+    return norm if len(shape) == 2 else float(norm[0])
 
 
-def _phi(J, r, J0: float, r0: float, eta: float):
-    """phi = (-2 (J - J0) - 2 (r - r0)) / eta^5, elementwise over arrays."""
-    return (-2.0 * (J - J0) - 2.0 * (r - r0)) / eta ** 5
+def _xnorm_rows(a0, b0, a, b, table: SpectrumTable):
+    """``xnorm`` of rows whose constant-mode pair is (a0, b0) and whose
+    other modes are a[:, 1:] and b[:, 1:]: their h1 and l2 sums are taken
+    per row and joined with the pair as sqrt(a0^2 + sum (1 + lam^2) a^2)
+    + sqrt(b0^2 + sum b^2) (lam_0 = 0).  ``dist_to_orbit`` passes its
+    offsets from the loop as (a0, b0), so it copies no sample stack."""
+    high_a = np.einsum("ij,ij,j->i", a[:, 1:], a[:, 1:], 1.0 + table.lam_sq[1:])
+    high_b = np.einsum("ij,ij->i", b[:, 1:], b[:, 1:])
+    return np.sqrt(a0 ** 2 + high_a) + np.sqrt(b0 ** 2 + high_b)
+
+
+def dist_x(s1: State, s2: State, table: SpectrumTable):
+    """Energy-space distance ``xnorm(s1 - s2)`` between states over the
+    same table; either side may be a stack (S, modes), which broadcasts."""
+    return xnorm(State(s1.a - s2.a, s1.b - s2.b), table)
 
 
 def i_j_equivalence_bound(max_abs_a0: float, table: SpectrumTable) -> float:

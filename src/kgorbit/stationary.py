@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OutOfRange, ProjectionUndefined
-from .hamiltonian import State, _bound_force, potential_f
+from .hamiltonian import State, _bound_force, _xnorm_rows, potential_f
 from .spectra import ModelParams, SpectrumTable
 
 __all__ = [
@@ -396,35 +396,25 @@ def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
 def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable):
     """Energy-space distance from a full state to the planar loop.
 
-    The constant-mode pair is projected onto the level set and the
-    distance to that embedded point returned.  Rows whose projection is
-    undefined (the mask of ``_project``) fall back to the minimum over
-    4096 loop samples, built once per call on demand.  ``s`` is one state
-    (returns a float) or a stack of samples with ``a``/``b`` shaped
-    (S, modes) (returns an (S,) array): the one-state call is the one-row
-    case.
+    The constant-mode pair is projected onto the level set (by the rule of
+    ``project_to_orbit``, once per call) and the ``xnorm`` distance to that
+    embedded point returned.  Rows whose projection is undefined fall back
+    to the minimum distance to 4096 embedded loop samples, built once per
+    call on demand.  ``s`` is one state (returns a float) or a stack of
+    samples with ``a``/``b`` shaped (S, modes) (returns an (S,) array): the
+    one-state call is the one-row case.
     """
-    stacked = s.a.ndim == 2
     params = table.params
-    a, b = (s.a, s.b) if stacked else (s.a[None], s.b[None])
-    a0, b0 = a[:, 0], b[:, 0]
-    high_a = np.einsum("ij,ij,j->i", a[:, 1:], a[:, 1:], 1.0 + table.lam_sq[1:])
-    high_b = np.einsum("ij,ij->i", b[:, 1:], b[:, 1:])
-    # the public projection first, so each call that needs the samples
-    # shows as one ProjectionUndefined; only then is the stack split by row
-    try:
-        proj = project_to_orbit(PlanarState(a0, b0), eta, band, params)
-        pa, pb, defined = proj.a0, proj.b0, np.ones(a0.shape, dtype=bool)
-    except ProjectionUndefined:
-        pa, pb, defined = _project(a0, b0, eta, band, params)
-    value = np.sqrt((a0 - pa) ** 2 + high_a) + np.sqrt((b0 - pb) ** 2 + high_b)
-    orbit = None
+    a, b = np.atleast_2d(s.a, s.b)
+    pa, pb, defined = _project(a[:, 0], b[:, 0], eta, band, params)
+    value = _xnorm_rows(a[:, 0] - pa, b[:, 0] - pb, a, b, table)
+    loop = None
     for r in np.flatnonzero(~defined):
-        if orbit is None:
-            orbit = sample_orbit(eta, 4096, params)
-        value[r] = np.min(np.sqrt((a0[r] - orbit.a0) ** 2 + high_a[r])
-                          + np.sqrt((b0[r] - orbit.b0) ** 2 + high_b[r]))
-    return value if stacked else float(value[0])
+        if loop is None:
+            loop = sample_orbit(eta, 4096, params)
+        value[r] = np.min(_xnorm_rows(a[r, 0] - loop.a0, b[r, 0] - loop.b0,
+                                      a[r:r + 1], b[r:r + 1], table))
+    return value if s.a.ndim == 2 else float(value[0])
 
 
 def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:
@@ -488,7 +478,8 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     T/dt.  This equals RK4 on the joint planar-plus-fundamental system up
     to rounding.
     Passing ``potential`` (a callable of t) replaces the loop-driven V,
-    e.g. ``lambda t: 0.0`` for the constant-coefficient check.
+    e.g. ``lambda t: 0.0`` for the constant-coefficient check.  Raises
+    OutOfRange, naming lambda and dt, when a monodromy overflows.
     """
     check_mode_eigenvalues(lambda_n, params)
     scalar = np.ndim(lambda_n) == 0
@@ -508,6 +499,10 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
         block = _tree_product(_step_propagators(*(-w2 - vi[:, None] for vi in v), h))
         total = block + total + block @ total
 
+    for lam, offset in zip(lambdas, total):
+        if not np.isfinite(offset).all():
+            raise OutOfRange(f"monodromy of lambda = {lam!r} at dt = {dt!r} is not finite "
+                             f"(eta = {orbit.eta!r}): past RK4's stability bound, use a smaller dt")
     monos = []
     for k, lam in enumerate(lambdas):
         matrix = np.eye(2) + total[k]

@@ -1,5 +1,6 @@
 """Shape of the public API and the README's library example."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -32,6 +33,29 @@ def test_no_callable_takes_both_table_and_params(module):
     both = [name for name, obj in public_callables(module)
             if {"table", "params"} <= set(inspect.signature(obj).parameters)]
     assert both == []
+
+
+def test_export_lists_name_what_exists():
+    # every __all__ entry resolves, and the package re-exports from a module
+    # with __all__ only names on that list, so a deleted function cannot
+    # linger in either
+    import kgorbit
+    with open(kgorbit.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported.setdefault(node.module, []).extend(a.name for a in node.names)
+    checked = []
+    for module in MODULES + ("errors",):
+        mod = importlib.import_module(f"kgorbit.{module}")
+        exports = getattr(mod, "__all__", None)
+        if exports is None:
+            continue
+        checked.append(module)
+        assert [name for name in exports if not hasattr(mod, name)] == [], module
+        assert [name for name in imported.get(module, ()) if name not in exports] == [], module
+    assert checked
 
 
 def test_readme_quick_start_runs(capsys):

@@ -369,6 +369,9 @@ class TestFirstReturnSweep:
         assert header == "eta,seed,return_time,distance,J0,J_at_return"
 
 
+BAD_RATE = "loop_rate must be > 0 and give a finite loop count ceil(loop_rate ln(1/eta)), got "
+
+
 class TestMain:
     def test_main_success(self, tmp_path):
         cfg_path = tmp_path / "run.cfg"
@@ -411,6 +414,43 @@ class TestMain:
             error = json.loads(capsys.readouterr().out)["error"]
             assert error == {"type": "ValidationError", "message": message}
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind,new,message", [
+        ("stability", "loop_rate = inf", BAD_RATE + "inf"),
+        ("stability", "loop_rate = nan", BAD_RATE + "nan"),
+        ("stability", "loop_rate = -1", BAD_RATE + "-1.0"),
+        # finite, but ceil(loop_rate ln(1/eta)) overflows
+        ("stability", "loop_rate = 1e308", BAD_RATE + "1e+308"),
+        ("stability", "loop_budget = -1", "loop_budget must be >= 1, got -1"),
+        ("stability", "loop_budget = 0", "loop_budget must be >= 1, got 0"),
+        ("stability", "dist_coefficient = nan",
+         "dist_coefficient must be finite and >= 0, got nan"),
+        ("energy-check", "drift_tol = nan", "drift_tol must be finite and >= 0, got nan"),
+        ("energy-check", "drift_tol = inf", "drift_tol must be finite and >= 0, got inf"),
+    ])
+    def test_bad_experiment_value_record(self, tmp_path, capsys, kind, new, message):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(MINIMAL.replace("kind = simulate\neta = 0.1",
+                                            f"kind = {kind}\neta = 0.1\n{new}"))
+        assert main(["--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "ValidationError", "message": message}
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_floquet_monodromy_record(self, tmp_path, capsys):
+        # lambda = 1e4 at dt = 1e-3 is past RK4's stability bound; 1e3 is not,
+        # and its det 0.0 is an ANOMALY verdict instead
+        cfg_path = tmp_path / "run.cfg"
+        for lam, code in (("1000", 2), ("10000", 1)):
+            cfg_path.write_text(MINIMAL.replace(
+                "kind = simulate\neta = 0.1",
+                f"kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586,{lam}"))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert main(["--config", str(cfg_path), "--output", str(tmp_path / lam)]) == code
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "OutOfRange"
+        assert "lambda = 10000.0" in error["message"] and "dt = 0.001" in error["message"]
+        assert not (tmp_path / "10000").exists()
 
     def test_floquet_lambda_at_or_below_mass_refused(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

@@ -86,6 +86,11 @@ class TestPerturbNearOrbit:
             perturb_near_orbit(0.1, PerturbationSpec(amplitude=1e-3, mode_set=()),
                                table8)
 
+    @pytest.mark.parametrize("amplitude", [-1e-3, math.nan, math.inf])
+    def test_amplitude_must_be_finite_and_nonnegative(self, amplitude):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            PerturbationSpec(amplitude=amplitude)
+
     def test_seed_required_for_random(self, table8):
         spec = PerturbationSpec(amplitude=1e-3, mode_set=(1,),
                                 distribution="random_direction")

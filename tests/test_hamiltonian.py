@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from kgorbit import (DimensionMismatch, ModelParams, State, build_spectrum,
-                     dist_x, energy_breakdown, f_prime, force, hamiltonian,
-                     phi_diagnostic, potential_f, q_vector, rhs, xnorm)
+from kgorbit import (DimensionMismatch, ModelParams, State, StepperConfig, build_spectrum,
+                     dist_x, energy_breakdown, evolve, force, hamiltonian,
+                     phi_envelope_fit, potential_f, project_power, rhs, xnorm)
 from kgorbit.hamiltonian import i_j_equivalence_bound
 
 
@@ -33,8 +33,12 @@ class TestPotential:
         assert potential_f(0.1, params) == pytest.approx(-0.00245, rel=1e-14)
 
     def test_f_prime_is_minus_twice_force(self, params, rng):
+        # complex-step derivative f'(x) = Im f(x + ih) / h: no cancellation,
+        # so h = 1e-30 leaves only the rounding of f itself
+        h = 1e-30
         for x in rng.uniform(-1.5, 1.5, size=20):
-            assert f_prime(x, params) == pytest.approx(-2.0 * force(x, params), rel=1e-13, abs=1e-16)
+            slope = potential_f(complex(x, h), params).imag / h
+            assert slope == pytest.approx(-2.0 * force(x, params), rel=1e-13, abs=1e-16)
 
 
 class TestHamiltonian:
@@ -83,16 +87,17 @@ class TestHamiltonian:
 
 class TestCouplingRemainder:
     def test_zero_for_planar(self, table):
-        q = q_vector(make_state(table, a0=0.4, b0=0.1), table)
-        assert np.all(q == 0.0)
+        bd = energy_breakdown(make_state(table, a0=0.4, b0=0.1), table)
+        assert bd.q0 == 0.0 and bd.q_norm == 0.0
 
     def test_reduces_to_power_projection_at_a0_zero(self, table, rng):
-        from kgorbit import project_power
+        # at a0 = 0 the remainder is u^3 itself
         a = np.zeros(table.mode_count)
         a[1:] = 0.1 * rng.standard_normal(table.mode_count - 1)
-        s = State(a, np.zeros(table.mode_count))
-        q = q_vector(s, table)
-        assert np.abs(q - project_power(a, 3, table)).max() < 1e-15
+        bd = energy_breakdown(State(a, np.zeros(table.mode_count)), table)
+        power = project_power(a, 3, table)
+        assert abs(bd.q0 - power[0]) < 1e-15
+        assert abs(bd.q_norm - np.linalg.norm(power[1:])) < 1e-15
 
     def test_quadratic_smallness(self, table, rng):
         # ||q|| <= C J with a ratio that stabilises as the amplitude shrinks
@@ -106,7 +111,7 @@ class TestCouplingRemainder:
                 b[1:] = amp * rng.standard_normal(table.mode_count - 1)
                 s = State(a, b)
                 bd = energy_breakdown(s, table)
-                worst = max(worst, np.linalg.norm(q_vector(s, table)) / bd.J)
+                worst = max(worst, math.hypot(bd.q0, bd.q_norm) / bd.J)
             return worst
 
         r_coarse, r_fine = max_ratio(1e-2), max_ratio(1e-3)
@@ -184,21 +189,31 @@ class TestXNorm:
         assert dist_x(s1, s3, table) <= dist_x(s1, s2, table) + dist_x(s2, s3, table) + 1e-14
 
     def test_shape_mismatch(self, table):
-        with pytest.raises(DimensionMismatch):
-            xnorm(State(np.zeros(2), np.zeros(2)), table)
+        n = table.mode_count
+        for shape_a, shape_b in (((2,), (2,)), ((n,), (3, n)), ((2, 3, n), (2, 3, n))):
+            with pytest.raises(DimensionMismatch):
+                xnorm(State(np.zeros(shape_a), np.zeros(shape_b)), table)
+
+    def test_stack_rows_equal_one_state_calls(self, table, rng):
+        stack = State(rng.standard_normal((7, table.mode_count)),
+                      rng.standard_normal((7, table.mode_count)))
+        norms = xnorm(stack, table)
+        assert norms.shape == (7,)
+        assert [xnorm(State(a, b), table) for a, b in zip(stack.a, stack.b)] == norms.tolist()
+        assert dist_x(stack, State(stack.a[2], stack.b[2]), table)[2] == 0.0
 
 
 class TestPhiDiagnostic:
-    def test_zero_at_start(self, table):
-        s = make_state(table, a0=0.1)
-        bd0 = energy_breakdown(s, table)
-        assert phi_diagnostic(s, bd0, 0.1, table) == 0.0
-
-    def test_planar_runs_have_zero_phi(self, table):
-        from kgorbit import StepperConfig, evolve
+    @pytest.fixture(scope="class")
+    def planar_fit(self, table):
         s0 = make_state(table, a0=0.1)
-        bd0 = energy_breakdown(s0, table)
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=5.0, sample_stride=500)
-        traj = evolve(s0, cfg, table)
-        for a, b in zip(traj.a, traj.b):
-            assert phi_diagnostic(State(a, b), bd0, 0.1, table) == 0.0
+        return phi_envelope_fit(evolve(s0, cfg, table), 0.1)
+
+    def test_zero_at_start(self, planar_fit):
+        assert planar_fit["times"][0] == 0.0 and planar_fit["phi"][0] == 0.0
+
+    def test_planar_runs_have_zero_phi(self, planar_fit):
+        # J and r are exactly zero on the invariant plane
+        assert len(planar_fit["phi"]) == 11
+        assert np.all(planar_fit["phi"] == 0.0) and planar_fit["C"] == 0.0

@@ -12,7 +12,7 @@ from kgorbit import (Loop, ModelParams, OutOfRange, PlanarState,
                      ProjectionUndefined, State, default_band, delta_band,
                      dist_to_orbit, floquet, force, homoclinic,
                      invert_potential, period, potential_f, project_to_orbit,
-                     sample_orbit, turning_point)
+                     sample_orbit, turning_point, xnorm)
 from kgorbit import stationary
 from kgorbit.stationary import _GL_NODES, _GL_WEIGHTS, _project, _w_factor
 
@@ -430,6 +430,20 @@ class TestStackedDistance:
             assert dist_to_orbit(row, 0.1, band, table) == d[i]
         assert list(path).count("samples") == 1
 
+    def test_rows_equal_xnorm_to_embedded_projection(self, table, params, rng):
+        # one norm: each row's distance is xnorm of the row minus its
+        # project_to_orbit point embedded in the constant mode
+        band = default_band(params)
+        s = self._stack(self.PLANAR[:-1], table, rng)
+        d = dist_to_orbit(s, 0.1, band, table)
+        proj = project_to_orbit(PlanarState(s.a[:, 0], s.b[:, 0]), 0.1, band, params)
+        for i in range(len(d)):
+            da, db = s.a[i].copy(), s.b[i].copy()
+            da[0] -= proj.a0[i]
+            db[0] -= proj.b0[i]
+            ref = xnorm(State(da, db), table)
+            assert abs(d[i] - ref) <= 1e-15 * ref
+
     def test_p2_rows_match_scalar_reference(self, rng):
         from kgorbit import ModelParams, build_spectrum
         p2 = ModelParams(m=0.5, p=2, dim=1, cutoff=4)
@@ -596,3 +610,11 @@ class TestFloquet:
     def test_requires_finite_lambda(self, params, lambdas):
         with pytest.raises(OutOfRange, match="finite"):
             floquet(sample_orbit(0.1, 64, params), lambdas, params)
+
+    @pytest.mark.parametrize("lam", [1e4, 1e10])
+    def test_overflowing_monodromy_refused(self, params, lam):
+        # at dt = 1e-3, h sqrt(lam^2 - m^2) >= 10 lies past RK4's stability
+        # bound 2 sqrt(2): the step matrices grow until the product overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(OutOfRange, match=rf"lambda = {lam!r} .* dt = 0\.001"):
+            floquet(Loop(0.1, period(0.1, params)), [2 * math.pi, lam], params, dt=1e-3)
