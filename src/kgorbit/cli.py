@@ -15,7 +15,8 @@ rejected with the offending line number.  Sections and keys:
     [output]      directory, formats (csv,json)
 
 Exit codes: 0 success, 2 when a run completes but raises ANOMALY flags
-or a sweep member failed, 1 on errors (a JSON error record is printed).
+or a sweep member failed, 1 on errors (a JSON error record is printed),
+a run too big for memory included.
 Every run executes in the calling thread.  A first-return sweep steps all
 its (eta, seed) members as one ensemble, stacked in config order, so the
 batch layout depends on the config alone; a member that finds no return
@@ -149,6 +150,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; raises ParseError (with line and
     key) on grammar problems and ValidationError on constraint violations."""
     values: dict[str, dict] = {name: {} for name in _SCHEMA}
+    lines: dict[tuple[str, str], int] = {}    # (section, key) -> line number
     section = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
@@ -171,10 +173,11 @@ def parse_config(text: str) -> RunConfig:
         if key in values[section]:
             raise ParseError(line_no, key, "duplicate key")
         values[section][key] = _parse_scalar(raw, _SCHEMA[section][key], line_no, key)
-    return _validate(values)
+        lines[section, key] = line_no
+    return _validate(values, lines)
 
 
-def _validate(values: dict) -> RunConfig:
+def _validate(values: dict, lines: dict[tuple[str, str], int]) -> RunConfig:
     model = values["model"]
     for req in ("m", "p", "dim", "cutoff"):
         if req not in model:
@@ -187,6 +190,15 @@ def _validate(values: dict) -> RunConfig:
         check_mass_gap(params)
     except AssumptionViolated as exc:
         raise ValidationError(str(exc)) from exc
+    # the mode enumeration, dim (2K+1)^dim int64 values, and one grid row,
+    # ((2p+2)K+1)^dim float64 values, must each fit one array: at most
+    # np.iinfo(np.intp).max bytes, which is sys.maxsize
+    largest = sys.maxsize
+    for what, count in (("mode enumeration", dim * (2 * params.cutoff + 1) ** dim),
+                        ("grid row", ((2 * params.p + 2) * params.cutoff + 1) ** dim)):
+        if 8 * count > largest:
+            raise ParseError(lines["model", "cutoff"], "cutoff",
+                             f"the {what} would exceed the largest array ({largest} bytes)")
 
     st = values["stepper"]
     try:
@@ -279,9 +291,16 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def _rows(*columns):
+    """CSV rows of equal-length array columns: each column becomes a list
+    of Python floats, and the rows are zipped from the lists lazily."""
+    return zip(*(column.tolist() for column in columns))
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write a header and numeric rows (tuples, one value per column), each
-    value as a float with 17 significant digits, by one template per row."""
+    """Write a header and numeric rows (an iterable of tuples, one value per
+    column), each value as a float with 17 significant digits, by one
+    template per row."""
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -342,9 +361,9 @@ def _evolve_with_drift(cfg: RunConfig, table):
 def _run_simulate(cfg: RunConfig, table, out: dict):
     eta = cfg.experiment.eta
     traj, _, drift = _evolve_with_drift(cfg, table)
+    energy = traj.energy
     out["csv"] = (["t", "a0", "b0", "H", "J", "I", "r"],
-                  list(zip(traj.times, traj.a[:, 0], traj.b[:, 0], traj.energy.H,
-                           traj.energy.J, traj.energy.I, traj.energy.r)))
+                  _rows(traj.times, traj.a0, traj.b0, energy.H, energy.J, energy.I, energy.r))
     out["json"] = {
         "experiment": "simulate", "eta": eta, "H_drift": drift,
         "max_J": float(traj.energy.J.max()), "final_time": float(traj.times[-1]),
@@ -422,7 +441,7 @@ def _run_stability(cfg: RunConfig, table, out: dict):
     anomaly = (not report.j_within_regime) or report.dist_within_bound is False \
         or report.completed_loops < report.requested_loops
     times, j_vals = report.J_series
-    out["csv"] = (["t", "J"], list(zip(times, j_vals)))
+    out["csv"] = (["t", "J"], _rows(times, j_vals))
     out["json"] = {
         "experiment": "stability", "eta": eta,
         "loop_records": [asdict(r) for r in report.loop_records],
@@ -465,7 +484,7 @@ def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
     traj, dh, drift = _evolve_with_drift(cfg, table)
     anomaly = abs(drift) > ex.drift_tol
-    out["csv"] = (["t", "H_minus_H0"], list(zip(traj.times, dh)))
+    out["csv"] = (["t", "H_minus_H0"], _rows(traj.times, dh))
     out["json"] = {
         "experiment": "energy-check", "eta": ex.eta,
         "drift_slope": drift, "drift_tol": ex.drift_tol,
@@ -488,8 +507,8 @@ def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its outputs.
 
     Returns 0 on success, 2 when anomaly flags were raised or a sweep run
-    failed, 1 on errors (with a JSON error record on stdout).  Everything
-    runs in the calling thread.
+    failed, 1 on errors, a run too big for memory included (with a JSON
+    error record on stdout).  Everything runs in the calling thread.
     """
     try:
         table = build_spectrum(cfg.model)
@@ -503,7 +522,7 @@ def run(cfg: RunConfig) -> int:
         if "json" in cfg.formats and "json" in out:
             _write_json(stem + ".json", out["json"])
         return code
-    except KgError as exc:
+    except (KgError, MemoryError) as exc:
         print(json.dumps({"schema_version": SCHEMA_VERSION,
                           "error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 1

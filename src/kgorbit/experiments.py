@@ -280,7 +280,9 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     through the return point (set rebaseline=False to keep the original
     eta).  The run stops early, with a flag, if J exceeds eta^5 at any
     sample or a return is not found.  Distances to the original loop are
-    measured at every sample time.
+    measured at every sample time.  Each loop's samples are read page by
+    page and dropped before the next loop integrates, so the run holds one
+    loop's samples at a time.
     """
     j_ceiling = eta ** 5
     bd0 = energy_breakdown(s0, table)
@@ -310,9 +312,8 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         times_all.append(traj.times[keep])
         j_all.append(j_vals[keep])
         loop_max_j = float(j_vals.max())
-        max_dist = max(max_dist, float(dist_to_orbit(
-            State(traj.a, traj.b), eta, band, table).max()))
-        max_abs_a0 = max(max_abs_a0, float(np.abs(traj.a[:, 0]).max()))
+        max_dist = max(max_dist, float(dist_to_orbit(traj.pages, eta, band, table).max()))
+        max_abs_a0 = max(max_abs_a0, float(np.abs(traj.a0).max()))
         d_ret = dist_to_orbit(res.state, eta, band, table)
         max_dist = max(max_dist, d_ret)
         records.append(LoopRecord(
@@ -328,9 +329,10 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
             regime_exited_at = k
             break
         current = res.state
+        del res, traj, j_vals    # the loop's samples go before the next loop integrates
         if rebaseline:
             try:
-                current_eta = _rebaseline_eta(res.state, table.params)
+                current_eta = _rebaseline_eta(current, table.params)
             except NoReturn:
                 regime_exited_at = k
                 break
@@ -392,7 +394,7 @@ def bound_check_I(trajectory: Trajectory) -> IBoundCheck:
     p = trajectory.table.params.p
     dI = (I_vals[2:] - I_vals[:-2]) / (t[2:] - t[:-2])
     I_mid = I_vals[1:-1]
-    rhs = (np.abs(trajectory.a[1:-1, 0]) ** (2 * p - 1) * np.abs(trajectory.b[1:-1, 0])
+    rhs = (np.abs(trajectory.a0[1:-1]) ** (2 * p - 1) * np.abs(trajectory.b0[1:-1])
            * I_mid + I_mid ** 1.5)
     valid = rhs > 0.0
     ratio = np.abs(dI[valid]) / rhs[valid]

@@ -140,7 +140,7 @@ def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     quadratic and higher in U and identically zero when the high modes
     vanish; q0 is its constant coefficient and q_norm the l2 norm of the
     rest.  ``s`` may also hold a stack of samples, a and b shaped (S, modes);
-    every field is then an array of S values.
+    every field is then an array of S values that owns its data.
     """
     stacked = s.a.ndim == 2
     validate_state(s, table, stacked)
@@ -156,8 +156,9 @@ def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     # g - a0 is U on the grid, exactly zero for planar states
     q = _analysis(_grid_power(g, 2 * p + 1) - a0_col ** (2 * p + 1)
                   - (2 * p + 1) * a0_col ** (2 * p) * (g - a0_col), table)
+    # q0 is copied out of q, so that no field keeps q alive
     values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift,
-                  q_norm=np.linalg.norm(q[..., 1:], axis=-1), q0=q[..., 0],
+                  q_norm=np.linalg.norm(q[..., 1:], axis=-1), q0=q[..., 0].copy(),
                   f_a0=potential_f(a0, params))
     convert = np.asarray if stacked else float
     return EnergyBreakdown(**{k: convert(v) for k, v in values.items()})

@@ -52,11 +52,17 @@ check run once per block, over that stack, and handle each member in
 step order, so a member stops at the same step, with the same samples
 and events, as a loop that tests after every step.  Samples, events and
 the states handed to refinement are copies: no result shares memory
-with the stack or with a stage's buffers.  A member that stops
-inside a block is stepped on to the block's end and then leaves the
-stack: up to 63 wasted steps per stop, and a stack whose row count
-changes at block ends rather than at each stop, which can move
-other members' results by rounding in the kernel's matrix products.
+with the stack or with a stage's buffers.  A member's samples are
+copied from the stack into pages that the member owns, each a
+(2, rows, modes) array holding whole blocks of ``Trajectory.energy``,
+about 2^15 values of a per full page; the last page is trimmed to its
+rows.  The returned ``Trajectory`` holds those pages, the one copy of
+the samples, and joins them only when ``a`` or ``b`` is read.
+A member that stops inside a block is stepped on to the block's end
+and then leaves the stack: up to 63 wasted steps per stop, and a stack
+whose row count changes at block ends rather than at each stop, which
+can move other members' results by rounding in the kernel's matrix
+products.
 
 Section crossings are detected by a per-step sign change of the residual
 and refined by bisected re-integration from the bracketing state, which
@@ -139,33 +145,67 @@ class StepperConfig:
             raise ValueError("sample_stride must be >= 1")
 
 
+def _energy_rows(table: SpectrumTable) -> int:
+    """Rows of one ``energy_breakdown`` block of ``Trajectory.energy``.
+    ``energy_breakdown`` keeps about twice the kernel's grid-sized
+    temporaries alive, so a block holds half the kernel's rows."""
+    return max(1, _CHUNK_VALUES // (2 * table.n_nodes))
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """One read-only array of ``parts`` along the first axis: the part
+    itself when there is one, else a new array."""
+    if len(parts) == 1:
+        return parts[0]
+    out = np.concatenate(parts)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass
 class Trajectory:
     """Sampled run of one member.
 
-    ``times`` (S,) and the coefficient stacks ``a``, ``b`` (S, modes) hold
-    the samples, read-only; ``events`` the refined section crossings as
-    (time, State) pairs; ``rejected`` the crossings refinement turned down,
-    by NoCrossing reason.  The energy diagnostics of all samples are
-    computed on first use, in stacked passes.
+    ``times`` (S,) holds the sample times and ``pages`` the samples'
+    coefficients, once: States whose ``a`` and ``b`` are (rows, modes)
+    stacks, read-only, in time order, each ``t`` the time of its first
+    row.  ``a`` and ``b`` join the pages into (S, modes) arrays on every
+    read, a new array unless there is one page; ``a0`` and ``b0`` join
+    only the constant-mode columns.  ``events`` holds the refined section
+    crossings as (time, State) pairs and ``rejected`` the crossings
+    refinement turned down, by NoCrossing reason.  The energy diagnostics
+    of all samples are computed on first use, page by page.
     """
 
     times: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    pages: list[State]
     events: list[tuple[float, State]]
     rejected: dict[str, int]
     table: SpectrumTable = field(repr=False)
 
+    @property
+    def a(self) -> np.ndarray:
+        return _joined([p.a for p in self.pages])
+
+    @property
+    def b(self) -> np.ndarray:
+        return _joined([p.b for p in self.pages])
+
+    @property
+    def a0(self) -> np.ndarray:
+        return _joined([p.a[:, 0] for p in self.pages])
+
+    @property
+    def b0(self) -> np.ndarray:
+        return _joined([p.b[:, 0] for p in self.pages])
+
     @functools.cached_property
     def energy(self) -> EnergyBreakdown:
         """Energy diagnostics of every sample; each field is an (S,) array.
-        ``energy_breakdown`` keeps about twice the kernel's grid-sized
-        temporaries alive, so its blocks hold half the kernel's rows."""
-        rows = max(1, _CHUNK_VALUES // (2 * self.table.n_nodes))
-        parts = [energy_breakdown(State(self.a[i:i + rows], self.b[i:i + rows]),
-                                  self.table)
-                 for i in range(0, len(self.times), rows)]
+        Each page is cut into blocks of ``_energy_rows`` rows."""
+        rows = _energy_rows(self.table)
+        parts = [energy_breakdown(State(p.a[i:i + rows], p.b[i:i + rows]), self.table)
+                 for p in self.pages for i in range(0, len(p.a), rows)]
         columns = {}
         for f in fields(EnergyBreakdown):
             column = np.concatenate([getattr(part, f.name) for part in parts])
@@ -397,42 +437,82 @@ _BLOCK_STEPS = 64
 
 class _Member:
     """Bookkeeping of one ensemble member: its samples, events and
-    rejected crossings, or the error that stopped it."""
+    rejected crossings, or the error that stopped it.
 
-    def __init__(self, s0: State, cfg: StepperConfig, limit: int | None):
+    Samples are copied straight from the block stack into pages, each
+    one (2, rows, modes) array of a and b rows; a full page holds
+    ``page_rows`` rows.  The member's first page starts at the size of
+    its first write and doubles until full; a page opened after a full
+    one starts full.  The last page is trimmed to its rows when the run
+    ends."""
+
+    def __init__(self, s0: State, cfg: StepperConfig, limit: int | None, page_rows: int):
         self.t0 = s0.t
         self.section = cfg.section
         self.horizon = max(1, int(round(cfg.max_time / cfg.dt)))
         self.limit = limit
+        self.modes = len(s0.a)
+        self.page_rows = page_rows
         self.times: list[float] = []
-        self.blocks_a: list[np.ndarray] = []   # (samples, modes) each
-        self.blocks_b: list[np.ndarray] = []
+        self.pages: list[State] = []
+        self.page = np.empty((2, 0, self.modes))    # the page being written
+        self.used = 0                                # its rows written so far
         self.events: list[tuple[float, State]] = []
         self.rejected = {"sign_constraint": 0, "stalled": 0, "no_sign_change": 0}
         self.error: NonFiniteState | None = None
 
-    def sample(self, times: list[float], a: np.ndarray, b: np.ndarray,
+    def _close(self) -> None:
+        """Move the page being written, trimmed to its rows, to the pages."""
+        page = self.page if self.used == self.page.shape[1] else self.page[:, :self.used].copy()
+        page.flags.writeable = False
+        start = len(self.times) - self.used
+        self.pages.append(State(page[0], page[1], self.times[start]))
+        self.page, self.used = None, 0
+
+    def _room(self, wanted: int) -> None:
+        """Make room for at least one more row in the page being written,
+        ``wanted`` rows if the page grows."""
+        rows = self.page.shape[1]
+        if self.used < rows:
+            return
+        if rows == self.page_rows:
+            self._close()
+            self.page = np.empty((2, self.page_rows, self.modes))
+            return
+        grown = np.empty((2, min(self.page_rows, max(2 * rows, wanted)), self.modes))
+        grown[:, :rows] = self.page
+        self.page = grown
+
+    def sample(self, times: list[float], states: np.ndarray, rows: list[int],
                checked: bool) -> None:
-        """Record samples (rows of a and b, in time order) up to the first
-        one that is not finite, which stops the member."""
-        if not checked:
-            finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
-            if not finite.all():
-                bad = int(finite.argmin())
-                self.error = NonFiniteState(f"non-finite coefficients at t = {times[bad]}")
-                times, a, b = times[:bad], a[:bad], b[:bad]
-        self.times.extend(times)
-        self.blocks_a.append(a)
-        self.blocks_b.append(b)
+        """Record samples, rows ``rows`` of the member's (steps, 2, modes)
+        phase-space states in time order, up to the first one that is not
+        finite, which stops the member and drops its pages."""
+        done = 0
+        while done < len(rows):
+            self._room(len(rows) - done)
+            n = min(len(rows) - done, self.page.shape[1] - self.used)
+            into = self.page[:, self.used:self.used + n]
+            into[...] = states[rows[done:done + n]].swapaxes(0, 1)
+            if not checked:
+                finite = np.isfinite(into).all(axis=(0, 2))
+                if not finite.all():
+                    bad = done + int(finite.argmin())
+                    self.error = NonFiniteState(f"non-finite coefficients at t = {times[bad]}")
+                    self.pages, self.page = [], None
+                    return
+            self.used += n
+            self.times.extend(times[done:done + n])
+            done += n
 
     def result(self, table: SpectrumTable) -> Trajectory | NonFiniteState:
         if self.error is not None:
             return self.error
-        arrays = [np.array(self.times), np.concatenate(self.blocks_a),
-                  np.concatenate(self.blocks_b)]
-        for arr in arrays:
-            arr.flags.writeable = False
-        return Trajectory(*arrays, events=self.events, rejected=self.rejected, table=table)
+        self._close()
+        times = np.array(self.times)
+        times.flags.writeable = False
+        return Trajectory(times, self.pages, events=self.events, rejected=self.rejected,
+                          table=table)
 
 
 def evolve_ensemble(states, cfgs, table: SpectrumTable,
@@ -460,13 +540,17 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
         validate_state(s, table)
     if max_events is None or np.ndim(max_events) == 0:
         max_events = [max_events] * len(states)
-    members = [_Member(s, c, limit) for s, c, limit in zip(states, cfgs, max_events)]
+    # a full page holds about _CHUNK_VALUES values of a, in whole energy
+    # blocks, so Trajectory.energy blocks the samples as one array would
+    rows = _energy_rows(table)
+    page_rows = rows * max(1, _CHUNK_VALUES // (table.mode_count * rows))
+    members = [_Member(s, c, limit, page_rows) for s, c, limit in zip(states, cfgs, max_events)]
     dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
     stage = _stage(scheme, dt, table)
 
     y = np.array([[s.a for s in states], [s.b for s in states]], dtype=float)
     for k, m in enumerate(members):
-        m.sample([m.t0], y[0, k:k + 1], y[1, k:k + 1], checked=True)
+        m.sample([m.t0], y[None, :, k], [0], checked=True)
     active = list(range(len(members)))       # member of each stack row
     tracked = any(m.section is not None for m in members)
     on_a0 = np.array([m.section is not None and m.section.kind == "a0_equals"
@@ -529,8 +613,8 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
             if stops and (i + end) % stride:
                 steps.append(end)
             if steps:
-                m.sample([m.t0 + (i + j) * dt for j in steps],
-                         stack_a[steps, r], stack_b[steps, r], checked=finite)
+                m.sample([m.t0 + (i + j) * dt for j in steps], stack[:, :, r], steps,
+                         checked=finite)
             if stops or m.error is not None:
                 leaving.append(r)
         i += n
@@ -545,7 +629,7 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
             if kick is not None:
                 kick = kick[keep]
 
-    del stage, blocks    # the buffers, before the results copy every sample
+    del stage, blocks    # the buffers, before the results trim their last pages
     return [m.result(table) for m in members]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_config(MINIMAL.replace(old, new))
         assert (err.value.line, err.value.key) == (line, key)
+
+    @pytest.mark.parametrize("dim, cutoff, what", [
+        (1, "3e17", "grid row"),                 # 8 (4K+1) bytes
+        (1, "6e17", "mode enumeration"),         # 8 (2K+1) bytes, checked first
+        (3, "1e12", "mode enumeration"),
+        (3, "3e5", "grid row"),                  # 8 (4K+1)^3 bytes
+    ])
+    def test_model_too_big_for_an_array(self, dim, cutoff, what):
+        text = MINIMAL.replace("dim = 1", f"dim = {dim}").replace("cutoff = 4", f"cutoff = {cutoff}")
+        with pytest.raises(ParseError, match=what) as err:
+            parse_config(text)
+        assert (err.value.line, err.value.key) == (5, "cutoff")
+
+    def test_model_that_fits_an_array_parses(self):
+        # 3 (2K+1)^3 int64 values and (4K+1)^3 float64 values, both under
+        # the largest array size: refused only when it is built
+        cfg = parse_config(MINIMAL.replace("dim = 1", "dim = 3").replace("cutoff = 4", "cutoff = 2e5"))
+        assert cfg.model.cutoff == 200000
 
     def test_infinite_floquet_lambda(self):
         with pytest.raises(ValidationError, match="must be finite, got inf"):
@@ -445,12 +464,28 @@ class TestMain:
             cfg_path.write_text(MINIMAL.replace(
                 "kind = simulate\neta = 0.1",
                 f"kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586,{lam}"))
-            with np.errstate(over="ignore", invalid="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")    # a numpy warning would raise here
                 assert main(["--config", str(cfg_path), "--output", str(tmp_path / lam)]) == code
-        error = json.loads(capsys.readouterr().out)["error"]
+        captured = capsys.readouterr()
+        assert captured.err == ""           # the error record is the only report
+        error = json.loads(captured.out)["error"]
         assert error["type"] == "OutOfRange"
         assert "lambda = 10000.0" in error["message"] and "dt = 0.001" in error["message"]
         assert not (tmp_path / "10000").exists()
+
+    def test_memory_error_record(self, tmp_path, capsys, monkeypatch):
+        import kgorbit.cli as cli
+
+        def too_big(params):
+            raise MemoryError("Unable to allocate 2.00 EiB for an array")
+        monkeypatch.setattr(cli, "build_spectrum", too_big)
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL)
+        assert main(["--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"type": "MemoryError", "message": "Unable to allocate 2.00 EiB for an array"}
+        assert not (tmp_path / "o").exists()
 
     def test_floquet_lambda_at_or_below_mass_refused(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"

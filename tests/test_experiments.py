@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,36 @@ class TestManyLoops:
         assert report.completed_loops == 1
         assert report.max_dist_to_orbit > 0
 
+    def test_loops_released_as_they_end(self):
+        # each loop's samples go before the next loop integrates, so three
+        # loops peak where one does; keeping the last loop's samples alive
+        # while the next one runs reads about 1.5 times the one-loop peak
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=16))
+        eta = 0.05
+        spec = PerturbationSpec(amplitude=eta ** 3, distribution="random_direction", seed=1)
+        s0 = perturb_near_orbit(eta, spec, table)
+        cfg = StepperConfig(dt=1e-2, scheme="split2", max_time=100.0, sample_stride=1)
+        band = default_band(table.params)
+
+        def peak(budget):
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                report = run_many_loops(s0, eta, band, budget, cfg, table)
+                return report, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        peak(1)                      # first calls fill caches outside the chain
+        (one, one_peak), (three, three_peak) = peak(1), peak(3)
+        assert (one.completed_loops, three.completed_loops) == (1, 3)
+        # each loop holds about 1600 samples of 33 modes, 0.8 MiB
+        assert len(three.J_series[0]) > 3 * 1500
+        assert three_peak <= 1.25 * one_peak
+
     def test_loop_records_count_rejected_crossings(self, table8, params8, cfg,
                                                    monkeypatch):
         import kgorbit.experiments as experiments
@@ -327,7 +358,7 @@ class TestDiagnostics:
         b[20, 1:] *= 1e-12
         a[30, 0] = 0.0
         times = np.cumsum(rng.uniform(0.5, 1.5, 60)) * 1e-2
-        chk = self.assert_matches_loop(Trajectory(times, a, b, [], {}, table))
+        chk = self.assert_matches_loop(Trajectory(times, [State(a, b, times[0])], [], {}, table))
         assert chk.flagged_times[:2] == [times[10], times[20]]
 
     @staticmethod

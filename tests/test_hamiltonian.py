@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -150,6 +151,15 @@ class TestEnergyBreakdown:
             assert abs(lhs1 - H) < 1e-12 * scale
             assert abs(lhs2 - H) < 1e-12 * scale
             assert bd.J >= 0.0
+
+    def test_stacked_fields_own_their_data(self, table, rng):
+        # a field that is a view would keep a whole grid-sized array alive
+        rows = [random_state(table, rng) for _ in range(5)]
+        bd = energy_breakdown(State(np.array([s.a for s in rows]),
+                                    np.array([s.b for s in rows])), table)
+        for f in fields(bd):
+            value = getattr(bd, f.name)
+            assert value.shape == (5,) and value.base is None, f.name
 
     def test_equivalence_bound_holds(self, table, rng):
         for _ in range(10):

@@ -1,12 +1,13 @@
 import math
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from kgorbit import (NoCrossing, NonFiniteState, SectionSpec, State,
-                     StepperConfig, dist_x, evolve, evolve_ensemble, homoclinic,
+from kgorbit import (EnergyBreakdown, NoCrossing, NonFiniteState, SectionSpec, State,
+                     StepperConfig, Trajectory, dist_x, evolve, evolve_ensemble, homoclinic,
                      period, refine_crossing, rk4_step, split2_step)
 from kgorbit.integrators import _BLOCK_STEPS, _LinearFlow, _stage
 from kgorbit.spectra import _CHUNK_VALUES, _project_power_raw
@@ -862,3 +863,71 @@ class TestRefinementSteps:
         traj = evolve(s0, cfg, table, max_events=1)
         assert len(traj.events) == 1 and len(calls) > 5
         assert all(0.0 < dt < cfg.dt for dt in calls)
+
+
+class TestPages:
+    """Samples go straight from the block stack into pages; a run whose
+    samples span several pages equals the one-array path bit for bit."""
+
+    @staticmethod
+    def _paged(monkeypatch, table):
+        # 1024 values per chunk: 1D K=4 (9 modes, 17 nodes) energy blocks
+        # of 30 rows and pages of 3 blocks, 90 rows; blocks keep 64 steps
+        from kgorbit import integrators
+        monkeypatch.setattr(integrators, "_CHUNK_VALUES", 1024)
+        assert integrators._energy_rows(table) == 30
+        return 90
+
+    @staticmethod
+    def _assert_pages(got, table, page_rows):
+        assert len(got.pages) >= 3
+        assert [len(p.a) for p in got.pages[:-1]] == [page_rows] * (len(got.pages) - 1)
+        row = 0
+        for p in got.pages:
+            # each page owns one (2, rows, modes) array, trimmed to its rows
+            assert p.a.base is p.b.base and p.a.base.shape == (2, len(p.a), table.mode_count)
+            assert not p.a.flags.writeable and p.t == got.times[row]
+            row += len(p.a)
+        assert row == len(got.times)
+        one = Trajectory(got.times, [State(got.a, got.b, got.times[0])], [], {}, table)
+        for f in fields(EnergyBreakdown):
+            assert np.array_equal(getattr(got.energy, f.name), getattr(one.energy, f.name))
+        assert np.array_equal(got.a0, got.a[:, 0]) and np.array_equal(got.b0, got.b[:, 0])
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_event_budget_stop_across_pages(self, table, scheme, stride, monkeypatch):
+        page_rows = self._paged(monkeypatch, table)
+        sec = SectionSpec("b0_equals", 0.0, "a0_left_of_center")
+        cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=60.0, sample_stride=stride,
+                            section=sec)
+        got = TestBlockLoop()._compare(TestBlockLoop._start(table), cfg, table, max_events=1)
+        stop = round(got.times[-1] / cfg.dt)
+        assert len(got.events) == 1 and stop % _BLOCK_STEPS != 0
+        self._assert_pages(got, table, page_rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, a0, dt", [("split2", 9.0, 0.1), ("rk4", 0.1, 0.114)])
+    def test_blow_up_after_several_pages(self, table, scheme, a0, dt, monkeypatch):
+        # rk4 at dt = 0.114 sits just past its stability bound for the top
+        # mode, so the run grows for about 440 steps before it blows up
+        page_rows = self._paged(monkeypatch, table)
+        cfg = StepperConfig(dt=dt, scheme=scheme, max_time=100.0, sample_stride=1)
+        got = TestBlockLoop()._compare(TestBlockLoop._start(table, a0), cfg, table)
+        assert isinstance(got, NonFiniteState)
+        assert round(float(str(got).rsplit("= ", 1)[1]) / dt) > 2 * page_rows
+
+    def test_energy_blocks_align_with_pages(self):
+        # at 1D K=32 the rounding of energy_breakdown depends on its block
+        # layout, so a page that cut an energy block would move its bits
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=32))
+        cfg = StepperConfig(dt=1e-2, max_time=60.0, sample_stride=1,
+                            section=SectionSpec("b0_equals", 0.0, "a0_left_of_center"))
+        got = evolve(TestBlockLoop._start(table), cfg, table, max_events=1)
+        self._assert_pages(got, table, 3 * 127)
+
+    def test_short_member_holds_one_trimmed_page(self, table8):
+        cfg = StepperConfig(dt=1e-2, max_time=0.5, sample_stride=10)
+        (page,) = evolve(TestBlockLoop._start(table8), cfg, table8).pages
+        assert page.a.base.shape == (2, 6, table8.mode_count)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,25 @@ class TestStackedDistance:
             assert dist_to_orbit(row, 0.1, band, table) == d[i]
         assert list(path).count("samples") == 1
 
+    def test_pages_equal_one_stack(self, table, params, rng, monkeypatch):
+        # a list of pages gives the rows of the joined stack bit for bit,
+        # with the fallback samples built once for the call
+        band = default_band(params)
+        s = self._stack(self.PLANAR + [(0.05, 0.3)], table, rng)
+        whole = dist_to_orbit(s, 0.1, band, table)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return sample_orbit(*args)
+        monkeypatch.setattr(stationary, "sample_orbit", counted)
+        pages = [State(s.a[i:j], s.b[i:j]) for i, j in ((0, 4), (4, 10), (10, 11))]
+        paged = dist_to_orbit(pages, 0.1, band, table)
+        assert np.array_equal(paged, whole) and len(built) == 1
+        # rows 9 and 10 sit in different pages and both fall back
+        assert list(np.flatnonzero(~_project(s.a[:, 0], s.b[:, 0], 0.1, band, params)[2])) \
+            == [9, 10]
+
     def test_rows_equal_xnorm_to_embedded_projection(self, table, params, rng):
         # one norm: each row's distance is xnorm of the row minus its
         # project_to_orbit point embedded in the constant mode
@@ -610,6 +630,13 @@ class TestFloquet:
     def test_requires_finite_lambda(self, params, lambdas):
         with pytest.raises(OutOfRange, match="finite"):
             floquet(sample_orbit(0.1, 64, params), lambdas, params)
+
+    def test_overflowing_monodromy_warns_nothing(self, params):
+        # the finiteness check is the only report of an overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange):
+                floquet(Loop(0.1, period(0.1, params)), [2 * math.pi, 1e4], params, dt=1e-3)
 
     @pytest.mark.parametrize("lam", [1e4, 1e10])
     def test_overflowing_monodromy_refused(self, params, lam):
