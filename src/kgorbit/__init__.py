@@ -14,8 +14,9 @@ from .errors import (AssumptionViolated, DimensionMismatch, EmptyModeSet,
                      ValidationError)
 from .spectra import (Mode, ModelParams, SpectrumTable, build_spectrum,
                       project_power, to_grid, to_modes)
-from .hamiltonian import (EnergyBreakdown, State, dist_x, energy_breakdown, force,
-                          hamiltonian, potential_f, rhs, xnorm)
+from .hamiltonian import (EnergyBreakdown, State, coupling_remainder, dist_x,
+                          energy_breakdown, force, hamiltonian, high_mode_energy,
+                          potential_f, rhs, xnorm)
 from .integrators import (SectionSpec, StepperConfig, Trajectory, evolve,
                           evolve_ensemble, refine_crossing, rk4_step, split2_step)
 from .stationary import (DeltaBand, Loop, Monodromy, PeriodicOrbit, PlanarState,

@@ -48,7 +48,7 @@ from .errors import KgError, AssumptionViolated, OutOfRange, ParseError, Validat
 from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, linear_fit,
                           period_scaling_sweep, perturb_near_orbit, power_law_fit,
                           run_first_returns, run_many_loops)
-from .hamiltonian import energy_breakdown
+from .hamiltonian import high_mode_energy
 from .integrators import StepperConfig, evolve
 from .spectra import ModelParams, build_spectrum, check_mass_gap
 from .stationary import (Loop, check_eta, check_mode_eigenvalues, delta_band,
@@ -390,7 +390,7 @@ def _run_first_return(cfg: RunConfig, table, out: dict):
                                 cfg.stepper, table)
     runs = []
     for (eta, seed), s0, res in zip(combos, starts, results):
-        j0 = energy_breakdown(s0, table).J
+        j0 = high_mode_energy(s0, table)
         if isinstance(res, KgError):
             runs.append({"eta": eta, "seed": seed, "J0": j0, "error":
                          {"type": type(res).__name__, "message": str(res)}})

@@ -21,14 +21,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# numpy loads numpy.random lazily on first use; importing it here keeps
-# that cost out of the first perturb_near_orbit of a run.
-from numpy.random import default_rng
 
 from .errors import (EmptyModeSet, DimensionMismatch, InsufficientSamples, NonFiniteState,
                      NoReturn, ValidationError)
-from .hamiltonian import (State, dist_x, energy_breakdown, i_j_equivalence_bound,
-                          potential_f, xnorm)
+from .hamiltonian import (State, dist_x, hamiltonian, high_mode_energy,
+                          i_j_equivalence_bound, potential_f, xnorm)
 from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
 from .spectra import ModelParams, SpectrumTable
 from .stationary import DeltaBand, dist_to_orbit, invert_potential, period
@@ -193,6 +190,9 @@ def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable)
     else:
         if spec.seed is None:
             raise ValidationError("random_direction requires a seed")
+        # numpy.random costs a run about 6 MiB and 10 ms to load, so only
+        # a seeded draw imports it: floquet and period-sweep runs never do
+        from numpy.random import default_rng
         rng = default_rng(spec.seed)
         da[modes] = rng.standard_normal(modes.size)
         db[modes] = rng.standard_normal(modes.size)
@@ -242,7 +242,7 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
                 return_time=t_ev - s0.t,
                 state=state_ev,
                 distance=dist_x(state_ev, s0, table),
-                J_at_return=energy_breakdown(state_ev, table).J,
+                J_at_return=high_mode_energy(state_ev, table),
                 section=section,
                 trajectory=traj,
             ))
@@ -281,11 +281,11 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     eta).  The run stops early, with a flag, if J exceeds eta^5 at any
     sample or a return is not found.  Distances to the original loop are
     measured at every sample time.  Each loop's samples are read page by
-    page and dropped before the next loop integrates, so the run holds one
-    loop's samples at a time.
+    page, J by ``high_mode_energy`` with no grid work, and dropped before
+    the next loop integrates, so the run holds one loop's samples at a
+    time.
     """
     j_ceiling = eta ** 5
-    bd0 = energy_breakdown(s0, table)
     current = s0
     current_eta = eta
     records: list[LoopRecord] = []
@@ -294,7 +294,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     j_all: list[np.ndarray] = []
     max_dist = 0.0
     max_abs_a0 = abs(float(s0.a[0]))
-    prev_J = bd0.J
+    prev_J = high_mode_energy(s0, table)
     regime_exited_at = None
 
     for k in range(loop_budget):
@@ -304,7 +304,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
             regime_exited_at = k
             break
         traj = res.trajectory
-        j_vals = traj.energy.J
+        j_vals = np.concatenate([high_mode_energy(page, table) for page in traj.pages])
         # the post-event sample of a loop sits just past the refined event
         # time where the next loop starts; keep the merged series monotone
         keep = traj.times > times_all[-1][-1] if times_all else \
@@ -350,7 +350,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         dist_ok = bool(max_dist <= dist_coefficient * eta ** 2)
     return StabilityReport(
         eta=eta, loop_records=records, J_series=(times, j_series),
-        H0=bd0.H, per_loop_growth=growth, fits=fits,
+        H0=hamiltonian(s0, table), per_loop_growth=growth, fits=fits,
         j_within_regime=j_ok, regime_exited_at=regime_exited_at,
         max_dist_to_orbit=max_dist, dist_coefficient=dist_coefficient,
         dist_within_bound=dist_ok,
@@ -361,8 +361,12 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
 
 def period_scaling_sweep(eta_list, params: ModelParams) -> dict:
     """Quadrature periods over a list of eta values, fitted to
-    T = A ln(1/eta) + B."""
+    T = A ln(1/eta) + B; a line needs at least two distinct eta values,
+    so fewer raise ValidationError."""
     etas = [float(e) for e in eta_list]
+    if len(set(etas)) < 2:
+        raise ValidationError(
+            f"eta_list needs at least two distinct values to fit T = A ln(1/eta) + B, got {etas}")
     periods = [period(e, params) for e in etas]
     fit = linear_fit(np.log(1.0 / np.array(etas)), periods)
     return {

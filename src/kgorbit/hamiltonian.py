@@ -14,14 +14,18 @@ the planar well f(x) = -m^2 x^2 + x^(2p+2)/(p+1), the quadratic high-mode
 energy J, and the nonlinear remainder r.  A second split H = b0^2/2
 + f(a0)/2 + I + r_hat shifts the instantaneous potential (2p+1) a0^(2p)
 into the quadratic part.  Both identities hold exactly here (up to
-rounding) because the grid quadrature is exact.
+rounding) because the grid quadrature is exact.  J needs no grid and has
+one home, ``high_mode_energy``; ``energy_breakdown`` adds the fields that
+do, and the coupling remainder q has its own function,
+``coupling_remainder``, so that no energy diagnostic computes it unread.
 
 Closeness to a loop is measured in one energy-space norm, computed only in
 ``_xnorm_rows``: ``xnorm`` (and through it ``dist_x`` and the amplitude of
 ``perturb_near_orbit``) and ``dist_to_orbit`` all evaluate it there.
 
 Sign convention: the planar force is force(x) = m^2 x - x^(2p+1), so the
-constant mode obeys db0/dt = force(a0) - q0 and the conserved planar level
+constant mode obeys db0/dt = force(a0) - q0, with q0 the constant
+coefficient of ``coupling_remainder``, and the conserved planar level
 is b0^2 + f(a0) (no 1/2); f itself only ever enters level-set relations.
 """
 
@@ -37,8 +41,8 @@ from .spectra import (ModelParams, SpectrumTable, _analysis, _grid_power,
 
 __all__ = [
     "State", "EnergyBreakdown", "potential_f", "force", "hamiltonian", "rhs",
-    "energy_breakdown", "xnorm", "dist_x", "i_j_equivalence_bound",
-    "validate_state",
+    "high_mode_energy", "energy_breakdown", "coupling_remainder", "xnorm",
+    "dist_x", "i_j_equivalence_bound", "validate_state",
 ]
 
 
@@ -70,8 +74,6 @@ class EnergyBreakdown:
     I: float
     r: float
     r_hat: float
-    q_norm: float
-    q0: float
     f_a0: float
 
 
@@ -132,36 +134,57 @@ def rhs(s: State, table: SpectrumTable) -> State:
     return State(da, db, s.t)
 
 
-def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
-    """All energy diagnostics of a state, each from its own definition.
+def high_mode_energy(s: State, table: SpectrumTable):
+    """Quadratic energy of the modes k >= 1,
+    J = 1/2 sum_{k>=1} [(lam_k^2 - m^2) a_k^2 + b_k^2], with no grid work.
 
-    q holds the coefficients of the nonlinear coupling remainder
-    (a0 + U)^(2p+1) - a0^(2p+1) - (2p+1) a0^(2p) U, U = sum_{k>=1} a_k e_k,
-    quadratic and higher in U and identically zero when the high modes
-    vanish; q0 is its constant coefficient and q_norm the l2 norm of the
-    rest.  ``s`` may also hold a stack of samples, a and b shaped (S, modes);
-    every field is then an array of S values that owns its data.
+    The one home of J: ``energy_breakdown`` and the experiments call it.
+    One state gives a float; a stack (S, modes) gives an (S,) array, each
+    entry bit-identical to the one-state call on its row.
     """
     stacked = s.a.ndim == 2
     validate_state(s, table, stacked)
-    params = table.params
-    m2, p = params.m ** 2, params.p
-    a0, a0_col = s.a[..., 0], s.a[..., :1]
+    J = 0.5 * np.sum((table.lam_sq[1:] - table.params.m ** 2) * s.a[..., 1:] ** 2
+                     + s.b[..., 1:] ** 2, axis=-1)
+    return J if stacked else float(J)
 
-    g = _synthesis(s.a, table)
-    H, mean_pow = _energy(s, g, table)
-    J = 0.5 * np.sum((table.lam_sq[1:] - m2) * s.a[..., 1:] ** 2 + s.b[..., 1:] ** 2, axis=-1)
+
+def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
+    """All energy diagnostics of a state, each from its own definition.
+
+    ``s`` may also hold a stack of samples, a and b shaped (S, modes);
+    every field is then an array of S values that owns its data.  J comes
+    from ``high_mode_energy``, and the grid is synthesised once, for H and
+    r; the coupling remainder is ``coupling_remainder``.
+    """
+    J = high_mode_energy(s, table)      # validates s
+    params = table.params
+    p = params.p
+    a0 = s.a[..., 0]
+
+    H, mean_pow = _energy(s, _synthesis(s.a, table), table)
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
     shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * np.sum(s.a[..., 1:] ** 2, axis=-1)
-    # g - a0 is U on the grid, exactly zero for planar states
-    q = _analysis(_grid_power(g, 2 * p + 1) - a0_col ** (2 * p + 1)
-                  - (2 * p + 1) * a0_col ** (2 * p) * (g - a0_col), table)
-    # q0 is copied out of q, so that no field keeps q alive
-    values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift,
-                  q_norm=np.linalg.norm(q[..., 1:], axis=-1), q0=q[..., 0].copy(),
-                  f_a0=potential_f(a0, params))
-    convert = np.asarray if stacked else float
+    values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift, f_a0=potential_f(a0, params))
+    convert = np.asarray if s.a.ndim == 2 else float
     return EnergyBreakdown(**{k: convert(v) for k, v in values.items()})
+
+
+def coupling_remainder(s: State, table: SpectrumTable) -> np.ndarray:
+    """Coefficients q of the nonlinear coupling remainder
+    (a0 + U)^(2p+1) - a0^(2p+1) - (2p+1) a0^(2p) U, U = sum_{k>=1} a_k e_k.
+
+    q is quadratic and higher in U and identically zero when the high
+    modes vanish; q[..., 0] is the q0 of db0/dt = force(a0) - q0.  One
+    state gives a (modes,) array, a stack (S, modes) an (S, modes) array.
+    """
+    validate_state(s, table, s.a.ndim == 2)
+    p = table.params.p
+    a0 = s.a[..., :1]
+    g = _synthesis(s.a, table)
+    # g - a0 is U on the grid, exactly zero for planar states
+    return _analysis(_grid_power(g, 2 * p + 1) - a0 ** (2 * p + 1)
+                     - (2 * p + 1) * a0 ** (2 * p) * (g - a0), table)
 
 
 def xnorm(s: State, table: SpectrumTable):

@@ -56,19 +56,35 @@ class DeltaBand:
 
 @dataclass(frozen=True)
 class Monodromy:
-    """Fundamental 2x2 matrix of one driven mode over one loop period."""
+    """Fundamental 2x2 matrix [[a, b], [c, d]] of one driven mode over one
+    loop period.  Its determinant, trace and multipliers are closed forms
+    in the four entries, so no LAPACK routine runs."""
 
     matrix: np.ndarray
-    multipliers: tuple[complex, complex]
     mode_eigenvalue: float
 
     @property
     def determinant(self) -> float:
-        return float(np.linalg.det(self.matrix))
+        (a, b), (c, d) = self.matrix.tolist()
+        return a * d - b * c
 
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
+
+    @property
+    def multipliers(self) -> tuple[complex, complex]:
+        """The eigenvalues tr/2 -+ sqrt(disc), disc = ((a - d)/2)^2 + bc,
+        sorted by (real, imag).  disc equals (tr/2)^2 - det but is formed
+        from a - d, so it does not cancel to rounding noise as that
+        difference does near |tr| = 2, where det is 1 to rounding."""
+        (a, b), (c, d) = self.matrix.tolist()
+        half_trace = 0.5 * (a + d)
+        disc = (0.5 * (a - d)) ** 2 + b * c
+        root = math.sqrt(abs(disc))
+        if disc >= 0.0:
+            return complex(half_trace - root), complex(half_trace + root)
+        return complex(half_trace, -root), complex(half_trace, root)
 
     @property
     def classification(self) -> str:
@@ -485,7 +501,8 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     the stack) per tree level, and folded into the running product in
     time order the same way, so the working memory does not grow with
     T/dt.  This equals RK4 on the joint planar-plus-fundamental system up
-    to rounding.
+    to rounding.  Each Monodromy's determinant and multipliers are closed
+    forms in its four entries, so the call runs no ``numpy.linalg`` routine.
     Passing ``potential`` (a callable of t) replaces the loop-driven V,
     e.g. ``lambda t: 0.0`` for the constant-coefficient check.  Raises
     OutOfRange, naming lambda and dt, when a monodromy overflows.
@@ -514,10 +531,6 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
         if not np.isfinite(offset).all():
             raise OutOfRange(f"monodromy of lambda = {lam!r} at dt = {dt!r} is not finite "
                              f"(eta = {orbit.eta!r}): past RK4's stability bound, use a smaller dt")
-    monos = []
-    for k, lam in enumerate(lambdas):
-        matrix = np.eye(2) + total[k]
-        mults = np.linalg.eigvals(matrix)
-        mults = tuple(sorted((complex(m) for m in mults), key=lambda z: (z.real, z.imag)))
-        monos.append(Monodromy(matrix=matrix, multipliers=mults, mode_eigenvalue=lam))
+    monos = [Monodromy(matrix=np.eye(2) + offset, mode_eigenvalue=lam)
+             for lam, offset in zip(lambdas, total)]
     return monos[0] if scalar else monos

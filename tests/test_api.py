@@ -67,17 +67,60 @@ def test_readme_quick_start_runs(capsys):
     assert capsys.readouterr().out.startswith("True ")
 
 
-def test_import_loads_no_scipy_and_loads_numpy_random():
+# One fresh interpreter imports kgorbit, runs the floquet and period-sweep
+# configs in its argument's directory through cli.main (outputs go there
+# too), then draws one seeded random_direction perturbation.  It reports
+# the loaded modules after each step and the start state as float.hex.
+_LAZY_RANDOM_PROBE = """
+import json, os, sys
+import kgorbit, kgorbit.cli
+from kgorbit import ModelParams, PerturbationSpec, build_spectrum, perturb_near_orbit
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                  or m == "numpy.random" or m.startswith("numpy.random."))
+
+out = sys.argv[1]
+report = {"import": loaded(), "codes": []}
+for kind in ("floquet", "period-sweep"):
+    config = os.path.join(out, kind + ".cfg")
+    report["codes"].append(kgorbit.cli.main(["--config", config, "--output", out]))
+    report[kind] = loaded()
+table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=4))
+spec = PerturbationSpec(amplitude=1e-3, mode_set=(1, 2, 3, 4),
+                        distribution="random_direction", seed=7)
+s0 = perturb_near_orbit(0.05, spec, table)
+report["draw"] = loaded()
+report["a"] = [x.hex() for x in s0.a.tolist()]
+report["b"] = [x.hex() for x in s0.b.tolist()]
+print(json.dumps(report))
+"""
+
+# The start state of the probe's perturbation when numpy.random was still
+# imported with the package: the lazy import must draw the same numbers.
+_SEEDED_START_A = ["0x1.999999999999ap-5", "0x1.83ac8d2139df6p-24", "0x1.6fc384be1c7fap-16",
+                   "-0x1.517895650f9b2p-16", "-0x1.1215e9501d0f0p-14"] + ["0x0.0p+0"] * 4
+_SEEDED_START_B = ["0x0.0p+0", "-0x1.17db1f5019150p-15", "-0x1.312f943d9512dp-14",
+                   "0x1.28274dd60d810p-18", "0x1.9c75cfad8c4cfp-14"] + ["0x0.0p+0"] * 4
+
+
+def test_numpy_random_loads_only_for_a_seeded_draw(tmp_path):
     # scipy.integrate alone added about 40 MiB to the peak RSS of every
-    # run; numpy.random is imported up front because numpy loads it
-    # lazily, inside the first perturbation of a timed run otherwise
+    # run, and numpy.random adds about 6 MiB and 10 ms of CPU; a floquet
+    # or period-sweep run draws no random number, so it must load neither
     import kgorbit
+    model = "[model]\nm = 0.5\np = 1\ndim = 1\ncutoff = 2\n[experiment]\n"
+    (tmp_path / "floquet.cfg").write_text(
+        model + "kind = floquet\neta_list = 0.1,0.05\nlambdas = 6.283185307179586\n")
+    (tmp_path / "period-sweep.cfg").write_text(
+        model + "kind = period-sweep\neta_list = 0.1,0.05,0.02\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(kgorbit.__file__)))
-    code = ("import json, sys; import kgorbit, kgorbit.cli; "
-            "print(json.dumps(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    modules = json.loads(out)
-    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
-    assert "numpy.random" in modules
+    done = subprocess.run([sys.executable, "-c", _LAZY_RANDOM_PROBE, str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["import"] == [] and report["floquet"] == [] and report["period-sweep"] == []
+    assert "numpy.random" in report["draw"]
+    assert [m for m in report["draw"] if m.startswith("scipy")] == []
+    assert report["a"] == _SEEDED_START_A and report["b"] == _SEEDED_START_B

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -222,6 +224,20 @@ class TestRun:
         assert len(payload["periods"]) == 3
         rows = (tmp_path / "period-sweep.csv").read_text().splitlines()
         assert rows[0] == "eta,period" and len(rows) == 4
+
+    @pytest.mark.parametrize("eta_list", ["0.1", "0.1,0.1,0.1"])
+    def test_period_sweep_needs_two_distinct_etas(self, tmp_path, capsys, eta_list):
+        # one distinct eta fits no line: numpy warned and a fit with
+        # r_squared 1.0 was written, with exit code 0
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace("kind = simulate\neta = 0.1",
+                                            f"kind = period-sweep\neta_list = {eta_list}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ValidationError" and "eta_list" in error["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_floquet(self, tmp_path):
         etas, lams = (0.1, 0.05), (4 * math.pi, 2 * math.pi)
@@ -497,6 +513,20 @@ class TestMain:
         assert error["type"] == "ValidationError"
         assert "0.3" in error["message"] and "m = 0.5" in error["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_python_m_kgorbit(self, tmp_path):
+        import kgorbit
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace(
+            "kind = simulate\neta = 0.1",
+            "kind = floquet\neta_list = 0.1\nlambdas = 6.283185307179586"))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kgorbit.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "kgorbit", "--config", str(cfg_path),
+             "--output", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert len(json.loads((tmp_path / "o" / "floquet.json").read_text())["records"]) == 1
 
     def test_main_missing_file(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 1

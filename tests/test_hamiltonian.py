@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kgorbit import (DimensionMismatch, ModelParams, State, StepperConfig, build_spectrum,
-                     dist_x, energy_breakdown, evolve, force, hamiltonian,
-                     phi_envelope_fit, potential_f, project_power, rhs, xnorm)
+from kgorbit import (DimensionMismatch, ModelParams, NonFiniteState, State, StepperConfig,
+                     build_spectrum, coupling_remainder, dist_x, energy_breakdown, evolve,
+                     force, hamiltonian, high_mode_energy, phi_envelope_fit, potential_f,
+                     project_power, rhs, xnorm)
 from kgorbit.hamiltonian import i_j_equivalence_bound
 
 
@@ -88,17 +89,17 @@ class TestHamiltonian:
 
 class TestCouplingRemainder:
     def test_zero_for_planar(self, table):
-        bd = energy_breakdown(make_state(table, a0=0.4, b0=0.1), table)
-        assert bd.q0 == 0.0 and bd.q_norm == 0.0
+        q = coupling_remainder(make_state(table, a0=0.4, b0=0.1), table)
+        assert q[0] == 0.0 and np.linalg.norm(q[1:]) == 0.0
 
     def test_reduces_to_power_projection_at_a0_zero(self, table, rng):
         # at a0 = 0 the remainder is u^3 itself
         a = np.zeros(table.mode_count)
         a[1:] = 0.1 * rng.standard_normal(table.mode_count - 1)
-        bd = energy_breakdown(State(a, np.zeros(table.mode_count)), table)
+        q = coupling_remainder(State(a, np.zeros(table.mode_count)), table)
         power = project_power(a, 3, table)
-        assert abs(bd.q0 - power[0]) < 1e-15
-        assert abs(bd.q_norm - np.linalg.norm(power[1:])) < 1e-15
+        assert abs(q[0] - power[0]) < 1e-15
+        assert abs(np.linalg.norm(q[1:]) - np.linalg.norm(power[1:])) < 1e-15
 
     def test_quadratic_smallness(self, table, rng):
         # ||q|| <= C J with a ratio that stabilises as the amplitude shrinks
@@ -111,8 +112,9 @@ class TestCouplingRemainder:
                 a[1:] = amp * rng.standard_normal(table.mode_count - 1)
                 b[1:] = amp * rng.standard_normal(table.mode_count - 1)
                 s = State(a, b)
-                bd = energy_breakdown(s, table)
-                worst = max(worst, math.hypot(bd.q0, bd.q_norm) / bd.J)
+                q = coupling_remainder(s, table)
+                worst = max(worst, math.hypot(q[0], np.linalg.norm(q[1:]))
+                            / high_mode_energy(s, table))
             return worst
 
         r_coarse, r_fine = max_ratio(1e-2), max_ratio(1e-3)
@@ -136,8 +138,10 @@ class TestEnergyBreakdown:
         assert bd.I >= bd.J
 
     def test_planar_remainders_vanish(self, table):
-        bd = energy_breakdown(make_state(table, a0=0.2, b0=0.3), table)
-        assert bd.r == 0.0 and bd.r_hat == 0.0 and bd.q_norm == 0.0 and bd.q0 == 0.0
+        s = make_state(table, a0=0.2, b0=0.3)
+        bd = energy_breakdown(s, table)
+        q = coupling_remainder(s, table)
+        assert bd.r == 0.0 and bd.r_hat == 0.0 and np.linalg.norm(q[1:]) == 0.0 and q[0] == 0.0
 
     def test_decomposition_identities(self, table, rng):
         for _ in range(10):
@@ -167,6 +171,37 @@ class TestEnergyBreakdown:
             bd = energy_breakdown(s, table)
             k0 = i_j_equivalence_bound(abs(s.a[0]), table)
             assert bd.J <= bd.I <= k0 * bd.J + 1e-18
+
+
+class TestHighModeEnergy:
+    """J's one home, ``high_mode_energy``, against ``energy_breakdown``."""
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(m=0.5, p=1, dim=1, cutoff=32),
+        ModelParams(m=0.5, p=2, dim=2, cutoff=3, periods=(2.0, 0.5)),
+        ModelParams(m=0.5, p=1, dim=3, cutoff=4, periods=(1.0, 1.0, 1.0)),
+    ], ids=["1d_k32", "2d_rect_k3", "3d_k4"])
+    def test_equals_breakdown_bit_for_bit(self, params, rng):
+        table = build_spectrum(params)
+        stack = State(0.3 * rng.standard_normal((9, table.mode_count)),
+                      0.3 * rng.standard_normal((9, table.mode_count)))
+        stack.a[4, 1:] = stack.b[4, 1:] = 0.0      # one planar row
+        J = high_mode_energy(stack, table)
+        assert J.shape == (9,) and J.base is None
+        assert np.array_equal(J, energy_breakdown(stack, table).J)
+        assert J[4] == 0.0
+        for row, (a, b) in enumerate(zip(stack.a, stack.b)):
+            one = high_mode_energy(State(a, b), table)
+            assert type(one) is float
+            assert one == J[row] == energy_breakdown(State(a, b), table).J
+
+    def test_validates_the_state(self, table):
+        s = make_state(table)
+        s.b[2] = np.inf
+        with pytest.raises(NonFiniteState):
+            high_mode_energy(s, table)
+        with pytest.raises(DimensionMismatch):
+            high_mode_energy(State(np.zeros(3), np.zeros(3)), table)
 
 
 class TestModelFromTable:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgorbit import (AssumptionViolated, DimensionMismatch, Mode, ModelParams, State,
-                     StepperConfig, build_spectrum, energy_breakdown, evolve,
-                     project_power, to_grid, to_modes)
+                     StepperConfig, build_spectrum, coupling_remainder, energy_breakdown,
+                     evolve, project_power, to_grid, to_modes)
 from kgorbit.spectra import (_CHUNK_VALUES, _analysis, _grid_power, _project_power_raw,
                              _synthesis)
 
@@ -323,8 +323,9 @@ class TestFactorisedTransforms:
             assert bd.H == pytest.approx(
                 0.5 * np.sum((table.lam_sq - m2) * a ** 2 + b ** 2) + mean_pow / 4, rel=1e-13)
             assert bd.r == pytest.approx((mean_pow - a0 ** 4) / 4, rel=1e-13)
-            assert bd.q0 == pytest.approx(q_ref[0], rel=1e-13)
-            assert bd.q_norm == pytest.approx(np.linalg.norm(q_ref[1:]), rel=1e-13)
+            q = coupling_remainder(State(a, b), table)
+            assert q[0] == pytest.approx(q_ref[0], rel=1e-13)
+            assert np.linalg.norm(q[1:]) == pytest.approx(np.linalg.norm(q_ref[1:]), rel=1e-13)
 
     def test_planar_state_stays_exactly_planar_3d(self):
         params = _TORI[1]
@@ -333,7 +334,7 @@ class TestFactorisedTransforms:
         a[0] = 0.37
         s = State(a, np.zeros(table.mode_count))
         assert np.all(project_power(a, 3, table)[1:] == 0.0)
-        assert energy_breakdown(s, table).q_norm == 0.0
+        assert np.linalg.norm(coupling_remainder(s, table)[1:]) == 0.0
 
     def test_3d_k8_table_beyond_dense_reach(self, rng):
         # the dense basis pair would take 2.8 GB here
@@ -378,6 +379,7 @@ class TestStackedTransforms:
         stacked = _project_power_raw(a, 3, table)
         grids = _synthesis(a, table)
         stacked_bd = energy_breakdown(State(a, b), table)
+        stacked_q = coupling_remainder(State(a, b), table)
         for row in range(members):
             _assert_close(stacked[row], project_power(a[row], 3, table))
             _assert_close(grids[row], to_grid(a[row], table).reshape(-1))
@@ -385,8 +387,12 @@ class TestStackedTransforms:
             for f in dataclasses.fields(single_bd):
                 assert getattr(stacked_bd, f.name)[row] == pytest.approx(
                     getattr(single_bd, f.name), rel=1e-13, abs=1e-15)
+            single_q = coupling_remainder(State(a[row], b[row]), table)
+            assert stacked_q[row, 0] == pytest.approx(single_q[0], rel=1e-13, abs=1e-15)
+            assert np.linalg.norm(stacked_q[row, 1:]) == pytest.approx(
+                np.linalg.norm(single_q[1:]), rel=1e-13, abs=1e-15)
         assert np.all(stacked[2, 1:] == 0.0)
-        assert stacked_bd.J[2] == 0.0 and stacked_bd.q_norm[2] == 0.0
+        assert stacked_bd.J[2] == 0.0 and np.linalg.norm(stacked_q[2, 1:]) == 0.0
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_1d_inline_kernel_equals_composed_transforms(self, p, rng):

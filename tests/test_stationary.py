@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ellipj, ellipkm1
 
-from kgorbit import (Loop, ModelParams, OutOfRange, PlanarState,
+from kgorbit import (Loop, ModelParams, Monodromy, OutOfRange, PlanarState,
                      ProjectionUndefined, State, default_band, delta_band,
                      dist_to_orbit, floquet, force, homoclinic,
                      invert_potential, period, potential_f, project_to_orbit,
@@ -645,3 +645,101 @@ class TestFloquet:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(OutOfRange, match=rf"lambda = {lam!r} .* dt = 0\.001"):
             floquet(Loop(0.1, period(0.1, params)), [2 * math.pi, lam], params, dt=1e-3)
+
+
+EPS = np.finfo(float).eps
+
+
+def _conjugated(core, rng, spread):
+    """P core P^-1 for a random P of bounded condition: a diagonal scaling
+    by up to exp(spread) and two shears of up to ``spread``."""
+    r = math.exp(rng.uniform(-spread, spread))
+    p = (np.array([[r, rng.uniform(-spread, spread)], [0.0, 1.0 / r]])
+         @ np.array([[1.0, 0.0], [rng.uniform(-spread, spread), 1.0]]))
+    return p @ core @ np.linalg.inv(p)
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+
+
+def _sorted(values):
+    return sorted((complex(v) for v in values), key=lambda z: (z.real, z.imag))
+
+
+class TestMonodromyAlgebra:
+    """The closed forms ad - bc and tr/2 -+ sqrt(((a - d)/2)^2 + bc) against
+    LAPACK where both are well conditioned and against 30-digit mpmath
+    near |tr| = 2, where no method is."""
+
+    def _matrices(self, rng, spread, thetas, mus):
+        out = [_conjugated(_rotation(theta), rng, spread) for theta in thetas]
+        return out + [_conjugated(np.diag([mu, 1.0 / mu]), rng, spread) for mu in mus]
+
+    def test_matches_lapack(self, params, rng):
+        mus = rng.choice([-1.0, 1.0], 100) * np.exp(rng.uniform(0.05, 3.0, 100))
+        matrices = self._matrices(rng, 0.5, rng.uniform(0.05, 3.1, 100), mus)
+        matrices += [m.matrix for eta in (0.1, 0.01, 0.002)
+                     for m in floquet(Loop(eta, period(eta, params)), [2 * math.pi, 4 * math.pi],
+                                      params)]
+        for matrix in matrices:
+            mono = Monodromy(matrix, 1.0)
+            (a, b), (c, d) = matrix.tolist()
+            assert abs(mono.determinant - np.linalg.det(matrix)) <= 4 * EPS * max(abs(a * d), abs(b * c))
+            lapack = _sorted(np.linalg.eigvals(matrix))
+            scale = max(abs(z) for z in lapack)
+            assert max(abs(x - y) for x, y in zip(mono.multipliers, lapack)) <= 4 * EPS * scale
+            assert (mono.multipliers[0].imag < 0) == (lapack[0].imag < 0)
+
+    def test_near_unit_trace_against_mpmath(self, rng):
+        # first-order error bound of the closed form from its roundings:
+        # eps (|tr|/2 + root) from the half trace and the final sums, and
+        # eps S / root from an error of up to 2 eps S in the discriminant,
+        # S = ((a - d)/2)^2 + |bc|, halved by the square root's derivative
+        # 1/(2 root); the check allows twice that
+        import mpmath
+        thetas = [1e-3, 1e-5, 1e-7]
+        for sign in (1.0, -1.0):
+            for matrix in self._matrices(rng, 0.5, thetas * 5, [math.exp(t) for t in thetas] * 5):
+                matrix = sign * matrix
+                mono = Monodromy(matrix, 1.0)
+                (a, b), (c, d) = matrix.tolist()
+                with mpmath.workdps(30):
+                    ma, mb, mc, md = (mpmath.mpf(x) for x in (a, b, c, d))
+                    root = mpmath.sqrt(((ma - md) / 2) ** 2 + mb * mc)
+                    exact = _sorted([(ma + md) / 2 - root, (ma + md) / 2 + root])
+                    det = float(ma * md - mb * mc)
+                    root = abs(complex(root))
+                assert abs(mono.determinant - det) <= 2 * EPS * max(abs(a * d), abs(b * c))
+                bound = EPS * (abs(a + d) / 2 + root) \
+                    + EPS * (((a - d) / 2) ** 2 + abs(b * c)) / root
+                errors = [abs(x - y) for x, y in zip(mono.multipliers, exact)]
+                assert max(errors) <= 2 * bound, (matrix, errors, bound)
+
+    def test_floquet_scan_records_keep_their_classification(self, params):
+        # the grid of the benchmark's floquet_scan workload: p = 1, so every
+        # record is elliptic (Lame), with a conjugate pair on the unit circle
+        for eta in (0.1, 0.05, 0.02, 0.01, 0.005, 0.002):
+            for mono in floquet(Loop(eta, period(eta, params)), [2 * math.pi, 4 * math.pi],
+                                params, dt=1e-3):
+                m1, m2 = mono.multipliers
+                assert mono.classification == "elliptic"
+                assert m1 == m2.conjugate() and m1.imag < 0
+                assert abs(abs(m1) - 1.0) < 1e-8
+
+    def test_floquet_runs_no_linalg_routine(self, params, monkeypatch):
+        lams = [2 * math.pi, 4 * math.pi]
+        loop = Loop(0.05, period(0.05, params))
+
+        def summary(monos):
+            return [(m.determinant, m.trace, m.multipliers, m.classification) for m in monos]
+        want = summary(floquet(loop, lams, params))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("floquet called numpy.linalg")
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(AssertionError):
+            np.linalg.eigvals(np.eye(2))
+        assert summary(floquet(loop, lams, params)) == want
