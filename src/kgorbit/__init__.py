@@ -26,8 +26,7 @@ from .stationary import (DeltaBand, Loop, Monodromy, PeriodicOrbit, PlanarState,
 from .experiments import (FirstReturnResult, IBoundCheck, LoopRecord,
                           PerturbationSpec, StabilityReport, bound_check_I,
                           period_scaling_sweep, perturb_near_orbit,
-                          phi_envelope_fit, run_first_return, run_first_returns,
-                          run_many_loops)
+                          phi_envelope_fit, run_first_returns, run_many_loops)
 from .cli import RunConfig, parse_config, run, serialize_config
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -442,20 +442,9 @@ def _run_stability(cfg: RunConfig, table, out: dict):
         or report.completed_loops < report.requested_loops
     times, j_vals = report.J_series
     out["csv"] = (["t", "J"], _rows(times, j_vals))
-    out["json"] = {
-        "experiment": "stability", "eta": eta,
-        "loop_records": [asdict(r) for r in report.loop_records],
-        "H0": report.H0, "per_loop_growth": report.per_loop_growth,
-        "fits": report.fits, "j_within_regime": report.j_within_regime,
-        "regime_exited_at": report.regime_exited_at,
-        "max_dist_to_orbit": report.max_dist_to_orbit,
-        "dist_coefficient": report.dist_coefficient,
-        "dist_within_bound": report.dist_within_bound,
-        "equivalence_bound": report.equivalence_bound,
-        "completed_loops": report.completed_loops,
-        "requested_loops": report.requested_loops,
-        "anomaly": anomaly,
-    }
+    record = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "J_series"}
+    record["loop_records"] = [asdict(r) for r in report.loop_records]
+    out["json"] = {"experiment": "stability", **record, "anomaly": anomaly}
     return 2 if anomaly else 0
 
 
@@ -503,6 +492,17 @@ _RUNNERS = {
 }
 
 
+def _print_error(exc: BaseException, kind: str | None = None) -> int:
+    """Print the JSON error record of ``exc`` (type ``kind`` if given; a
+    ParseError adds its line and key) and return exit code 1."""
+    record = {"type": kind or type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ParseError):
+        record["line"] = exc.line
+        record["key"] = exc.key
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "error": record}))
+    return 1
+
+
 def run(cfg: RunConfig) -> int:
     """Execute the configured experiment and write its outputs.
 
@@ -523,9 +523,7 @@ def run(cfg: RunConfig) -> int:
             _write_json(stem + ".json", out["json"])
         return code
     except (KgError, MemoryError) as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 1
+        return _print_error(exc)
 
 
 def main(argv=None) -> int:
@@ -553,16 +551,9 @@ def main(argv=None) -> int:
         if args.formats:
             cfg.formats = _check_formats(f.strip() for f in args.formats.split(","))
     except OSError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": {"type": "IOError", "message": str(exc)}}))
-        return 1
+        return _print_error(exc, "IOError")
     except KgError as exc:
-        record = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, ParseError):
-            record["line"] = exc.line
-            record["key"] = exc.key
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "error": record}))
-        return 1
+        return _print_error(exc)
     return run(cfg)
 
 

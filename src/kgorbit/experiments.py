@@ -32,8 +32,7 @@ from .stationary import DeltaBand, dist_to_orbit, invert_potential, period
 
 __all__ = [
     "PerturbationSpec", "FirstReturnResult", "LoopRecord", "StabilityReport",
-    "IBoundCheck", "perturb_near_orbit", "run_first_return", "run_first_returns",
-    "run_many_loops",
+    "IBoundCheck", "perturb_near_orbit", "run_first_returns", "run_many_loops",
     "period_scaling_sweep", "bound_check_I", "phi_envelope_fit",
     "linear_fit", "power_law_fit", "EXPONENT_PASS_RANGE",
 ]
@@ -222,7 +221,8 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
     within a budget of 10 of its loop periods.  A member that finds no
     return (NoReturn) or blows up (NonFiniteState) gets that error in its
     slot of the returned list; the other members go on, so one failure
-    is reported rather than fatal to a sweep.
+    is reported rather than fatal to a sweep.  The one first-return
+    driver: ``run_many_loops`` calls it with one member per loop.
     """
     params = table.params
     sections = [_return_section(s0, band, params) for s0 in states]
@@ -249,20 +249,6 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
     return results
 
 
-def run_first_return(s0: State, eta: float, band: DeltaBand, cfg: StepperConfig,
-                     table: SpectrumTable) -> FirstReturnResult:
-    """Integrate until the first admissible crossing of the start section.
-
-    The time budget is 10 loop periods; exceeding it raises NoReturn, and
-    a blow-up raises NonFiniteState.  The one-member case of
-    ``run_first_returns``.
-    """
-    result = run_first_returns([s0], [eta], band, cfg, table)[0]
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def _rebaseline_eta(state: State, params: ModelParams) -> float:
     """eta of the loop through the state's constant-mode pair (its level)."""
     level = float(state.b[0]) ** 2 + potential_f(float(state.a[0]), params)
@@ -276,14 +262,15 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
                    dist_coefficient: float | None = None) -> StabilityReport:
     """Chain first returns for loop_budget loops, tracking J and distances.
 
-    After each return the reference loop is re-baselined to the one
-    through the return point (set rebaseline=False to keep the original
-    eta).  The run stops early, with a flag, if J exceeds eta^5 at any
-    sample or a return is not found.  Distances to the original loop are
-    measured at every sample time.  Each loop's samples are read page by
-    page, J by ``high_mode_energy`` with no grid work, and dropped before
-    the next loop integrates, so the run holds one loop's samples at a
-    time.
+    Each loop is a one-member ``run_first_returns``.  After each return
+    the reference loop is re-baselined to the one through the return point
+    (set rebaseline=False to keep the original eta).  The run stops early,
+    with a flag, if J exceeds eta^5 at any sample or a return is not
+    found; a loop that turns non-finite raises NonFiniteState.  Distances
+    to the original loop are measured at every sample time.  Each loop's
+    samples are read page by page, J by ``high_mode_energy`` with no grid
+    work, and dropped before the next loop integrates, so the run holds
+    one loop's samples at a time.
     """
     j_ceiling = eta ** 5
     current = s0
@@ -298,11 +285,12 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     regime_exited_at = None
 
     for k in range(loop_budget):
-        try:
-            res = run_first_return(current, current_eta, band, cfg, table)
-        except NoReturn:
+        res = run_first_returns([current], [current_eta], band, cfg, table)[0]
+        if isinstance(res, NoReturn):
             regime_exited_at = k
             break
+        if isinstance(res, NonFiniteState):
+            raise res
         traj = res.trajectory
         j_vals = np.concatenate([high_mode_energy(page, table) for page in traj.pages])
         # the post-event sample of a loop sits just past the refined event
@@ -344,14 +332,13 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         cum_time = np.cumsum([r.return_time for r in records])
         fits["cumulative_time_vs_loop"] = linear_fit(
             np.arange(1, len(records) + 1), cum_time)
-    j_ok = regime_exited_at is None and bool(j_series.size == 0 or j_series.max() <= j_ceiling)
     dist_ok = None
     if dist_coefficient is not None:
         dist_ok = bool(max_dist <= dist_coefficient * eta ** 2)
     return StabilityReport(
         eta=eta, loop_records=records, J_series=(times, j_series),
         H0=hamiltonian(s0, table), per_loop_growth=growth, fits=fits,
-        j_within_regime=j_ok, regime_exited_at=regime_exited_at,
+        j_within_regime=regime_exited_at is None, regime_exited_at=regime_exited_at,
         max_dist_to_orbit=max_dist, dist_coefficient=dist_coefficient,
         dist_within_bound=dist_ok,
         equivalence_bound=i_j_equivalence_bound(max_abs_a0, table),

@@ -16,8 +16,9 @@ loop approaches the saddle.  This module provides the closed forms, the
 period as a singularity-free quadrature, level-set projection/distance,
 and Floquet monodromies of nonconstant modes driven by the loop.  One
 scalar RK4 pass (``_planar_rk4``) integrates the planar system for both
-the monodromies and the loop samples; one bisection (``invert_potential``)
-finds the turning point and every projection.
+the monodromies and the loop samples; one vectorised bisection
+(``invert_potential``, a single level being its one-element case) finds
+the turning point and every projection.
 """
 
 from __future__ import annotations
@@ -70,20 +71,26 @@ class Monodromy:
 
     @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        (a, _), (_, d) = self.matrix.tolist()
+        return a + d
 
     @property
     def multipliers(self) -> tuple[complex, complex]:
         """The eigenvalues tr/2 -+ sqrt(disc), disc = ((a - d)/2)^2 + bc,
         sorted by (real, imag).  disc equals (tr/2)^2 - det but is formed
         from a - d, so it does not cancel to rounding noise as that
-        difference does near |tr| = 2, where det is 1 to rounding."""
+        difference does near |tr| = 2, where det is 1 to rounding.  A real
+        pair takes the root of larger modulus, tr/2 + sign(tr) sqrt(disc),
+        and the other as det divided by it, so the smaller root of a
+        hyperbolic pair does not cancel either."""
         (a, b), (c, d) = self.matrix.tolist()
         half_trace = 0.5 * (a + d)
         disc = (0.5 * (a - d)) ** 2 + b * c
         root = math.sqrt(abs(disc))
         if disc >= 0.0:
-            return complex(half_trace - root), complex(half_trace + root)
+            large = half_trace + math.copysign(root, half_trace)
+            small = self.determinant / large if large != 0.0 else 0.0   # nilpotent: both 0
+            return tuple(complex(z) for z in sorted((small, large)))
         return complex(half_trace, -root), complex(half_trace, root)
 
     @property
@@ -292,24 +299,22 @@ def invert_potential(y, params: ModelParams, branch: str):
     increases from the minimum.
 
     ``y`` is one level (returns a float) or an array of levels (returns
-    an array of the same shape).  All levels are solved together by one
-    vectorised bisection on the branch, each bracket narrowed to
-    1e-15 + 8.9e-16 |x| and then finished by one secant step
-    inside it; one level runs the same steps on Python floats.  Each
-    level's root depends on that level alone.  Raises
-    ProjectionUndefined when any level lies outside the range of f on
-    the branch.
+    an array of the same shape); one level is the one-element case.  All
+    levels are solved together by one vectorised bisection on the branch,
+    each bracket narrowed to 1e-15 + 8.9e-16 |x| and then finished by one
+    secant step inside it.  Each level's root depends on that level alone.
+    Raises ProjectionUndefined when any level lies outside the range of f
+    on the branch.
     """
     y_lo, y_hi = _level_range(branch, params)
-    levels = np.asarray(y, dtype=float)
+    one = np.ndim(y) == 0
+    levels = np.atleast_1d(np.asarray(y, dtype=float))
     outside = ~((levels >= y_lo) & (levels <= y_hi))
     if outside.any():
         raise ProjectionUndefined(
             f"level {float(levels[outside].flat[0])!r} outside [{y_lo!r}, {y_hi!r}] "
             f"on the {branch} branch")
     rising = branch == "high"
-    if levels.ndim == 0:
-        return _invert_level(float(levels), y_lo, rising, params)
     lo = np.full_like(levels, params.center if rising else 0.0)
     hi = np.full_like(levels, params.separatrix_amplitude if rising else params.center)
     short = potential_f(hi, params) < levels
@@ -329,36 +334,8 @@ def invert_potential(y, params: ModelParams, branch: str):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = lo + (levels - f_lo) / (f_hi - f_lo) * (hi - lo)
     x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
-    return np.where(levels == y_lo, params.center, x)
-
-
-def _invert_level(y: float, y_lo: float, rising: bool, params: ModelParams) -> float:
-    """``invert_potential`` of one level: the same bisection and secant
-    step on Python floats.  f is evaluated on a 0-d array, because numpy's
-    array power rounds differently from Python's ``**``; so the root is
-    bit-identical to the one the array path gives."""
-    if y == y_lo:
-        return params.center
-
-    def f(x):
-        return float(potential_f(np.array(x), params))
-
-    lo = params.center if rising else 0.0
-    hi = params.separatrix_amplitude if rising else params.center
-    while f(hi) < y:
-        hi *= 2.0
-    while True:
-        x = 0.5 * (lo + hi)
-        if not hi - lo > _XTOL + _RTOL * abs(x):
-            break
-        if (f(x) > y) == rising:   # root lies below x
-            hi = x
-        else:
-            lo = x
-    f_lo, f_hi = f(lo), f(hi)
-    if f_hi != f_lo:
-        x = lo + (y - f_lo) / (f_hi - f_lo) * (hi - lo)
-    return x if lo <= x <= hi else 0.5 * (lo + hi)
+    x = np.where(levels == y_lo, params.center, x)
+    return float(x[0]) if one else x
 
 
 def _project(a0: np.ndarray, b0: np.ndarray, eta: float, band: DeltaBand,

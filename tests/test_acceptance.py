@@ -15,7 +15,7 @@ import pytest
 from kgorbit import (ModelParams, PerturbationSpec, SectionSpec, State,
                      StepperConfig, build_spectrum, default_band, dist_x,
                      evolve, floquet, hamiltonian, homoclinic, period,
-                     perturb_near_orbit, run_first_return, run_many_loops,
+                     perturb_near_orbit, run_first_returns, run_many_loops,
                      sample_orbit, turning_point)
 from kgorbit.experiments import linear_fit, power_law_fit
 from kgorbit.hamiltonian import energy_breakdown, rhs
@@ -72,7 +72,7 @@ def return_sweep(table_k8, params_k8):
             s0 = perturb_near_orbit(eta, spec, table_k8)
             j0 = energy_breakdown(s0, table_k8).J
             h0 = hamiltonian(s0, table_k8)
-            res = run_first_return(s0, eta, band, cfg, table_k8)
+            res = run_first_returns([s0], [eta], band, cfg, table_k8)[0]
             rows.append({"eta": eta, "seed": seed, "T": res.return_time,
                          "distance": res.distance, "J0": j0,
                          "J_ret": res.J_at_return, "H0": h0})

@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kgorbit import (EmptyModeSet, ModelParams, PerturbationSpec, State, StepperConfig,
-                     Trajectory, ValidationError, build_spectrum, default_band, dist_x,
-                     hamiltonian, NoReturn, period, perturb_near_orbit, run_first_return,
-                     run_first_returns, run_many_loops)
+from kgorbit import (EmptyModeSet, ModelParams, NonFiniteState, PerturbationSpec, State,
+                     StepperConfig, Trajectory, ValidationError, build_spectrum,
+                     default_band, dist_x, hamiltonian, NoReturn, period,
+                     perturb_near_orbit, run_first_returns, run_many_loops)
 from kgorbit.experiments import (_RATIO_CAP, IBoundCheck, bound_check_I, linear_fit,
                                  period_scaling_sweep, phi_envelope_fit,
                                  power_law_fit)
@@ -118,7 +118,7 @@ class TestFirstReturn:
         eta = 0.1
         band = default_band(params8)
         s0 = base_state(table8, eta)
-        res = run_first_return(s0, eta, band, cfg, table8)
+        res = run_first_returns([s0], [eta], band, cfg, table8)[0]
         T = period(eta, params8)
         assert abs(res.return_time - T) <= 1e-6 * T
         assert res.distance <= 1e-8
@@ -131,7 +131,7 @@ class TestFirstReturn:
                                 distribution="random_direction", seed=3)
         s0 = perturb_near_orbit(eta, spec, table8)
         j0 = energy_breakdown(s0, table8).J
-        res = run_first_return(s0, eta, band, cfg, table8)
+        res = run_first_returns([s0], [eta], band, cfg, table8)[0]
         assert 0.0 < res.distance < eta ** 2
         assert res.J_at_return <= 50.0 * j0
         # the section pins the start coordinate at the return point
@@ -148,7 +148,7 @@ class TestFirstReturn:
             table8) for eta, seed in zip(etas, (1, 2, 1, 1))]
         stacked = run_first_returns(starts, etas, band, cfg, table8)
         for s0, eta, got in zip(starts, etas, stacked):
-            ref = run_first_return(s0, eta, band, cfg, table8)
+            ref = run_first_returns([s0], [eta], band, cfg, table8)[0]
             for name in ("return_time", "distance", "J_at_return"):
                 assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-9)
 
@@ -166,8 +166,8 @@ class TestFirstReturn:
                                 table8)
         assert isinstance(out[1], NoReturn)
         assert out[0].return_time == pytest.approx(period(0.1, params8), rel=1e-5)
-        with pytest.raises(NoReturn):
-            run_first_return(base_state(table8, 0.05), 0.05, band, cfg, table8)
+        alone = run_first_returns([base_state(table8, 0.05)], [0.05], band, cfg, table8)
+        assert len(alone) == 1 and isinstance(alone[0], NoReturn)
 
 
 class TestManyLoops:
@@ -255,11 +255,11 @@ class TestManyLoops:
         import kgorbit.experiments as experiments
         loops = []
 
-        def first_return(*args, **kwargs):
-            res = run_first_return(*args, **kwargs)
-            loops.append(res.trajectory)
-            return res
-        monkeypatch.setattr(experiments, "run_first_return", first_return)
+        def first_returns(*args, **kwargs):
+            out = run_first_returns(*args, **kwargs)
+            loops.extend(res.trajectory for res in out)
+            return out
+        monkeypatch.setattr(experiments, "run_first_returns", first_returns)
         eta = 0.05
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=1)
@@ -270,6 +270,35 @@ class TestManyLoops:
             assert rec.rejected_crossings == traj.rejected
             # the far turning point crosses the b0 section on the wrong side
             assert rec.rejected_crossings["sign_constraint"] >= 1
+
+    def test_loop_without_return_ends_the_chain(self, table8, params8, cfg, monkeypatch):
+        # from the second loop on, a budget of 10 periods of 1e-3 leaves
+        # each loop 10 steps, far short of its return
+        import kgorbit.experiments as experiments
+        real_period = experiments.period
+        calls = []
+
+        def period(eta, params):
+            calls.append(eta)
+            return real_period(eta, params) if len(calls) == 1 else 1e-3
+        monkeypatch.setattr(experiments, "period", period)
+        eta = 0.05
+        report = run_many_loops(base_state(table8, eta), eta, default_band(params8), 3, cfg,
+                                table8)
+        assert len(calls) == 2
+        assert report.regime_exited_at == 1
+        assert report.completed_loops == len(report.loop_records) == 1
+        assert report.requested_loops == 3
+        assert not report.j_within_regime
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loop_raises(self, table8, params8, cfg):
+        # b0 = 1e100 turns NaN in the first rk4 step
+        eta = 0.05
+        s0 = base_state(table8, eta)
+        s0.b[0] = 1e100
+        with pytest.raises(NonFiniteState):
+            run_many_loops(s0, eta, default_band(params8), 3, cfg, table8)
 
     def test_determinism(self, table8, params8, cfg):
         eta = 0.05
@@ -312,8 +341,8 @@ class TestDiagnostics:
     def test_bound_check_vacuous_on_planar(self, table8, params8, cfg):
         eta = 0.05
         band = default_band(params8)
-        res = run_first_return(base_state(table8, eta), eta, band, cfg,
-                               table8)
+        res = run_first_returns([base_state(table8, eta)], [eta], band, cfg,
+                                table8)[0]
         chk = bound_check_I(res.trajectory)
         assert chk.vacuous and chk.c_max is None
 
@@ -327,7 +356,7 @@ class TestDiagnostics:
             cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=100.0,
                                 sample_stride=stride)
             s0 = perturb_near_orbit(eta, spec, table8)
-            res = run_first_return(s0, eta, band, cfg, table8)
+            res = run_first_returns([s0], [eta], band, cfg, table8)[0]
             return bound_check_I(res.trajectory).c_max
 
         c1, c2 = c_for(40), c_for(20)
@@ -339,8 +368,8 @@ class TestDiagnostics:
         eta = 0.05
         spec = PerturbationSpec(amplitude=eta ** 3, distribution="random_direction", seed=1)
         cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=100.0, sample_stride=20)
-        res = run_first_return(perturb_near_orbit(eta, spec, table8), eta,
-                               default_band(table8.params), cfg, table8)
+        res = run_first_returns([perturb_near_orbit(eta, spec, table8)], [eta],
+                                default_band(table8.params), cfg, table8)[0]
         self.assert_matches_loop(res.trajectory)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -377,7 +406,7 @@ class TestDiagnostics:
         spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                 distribution="random_direction", seed=2)
         s0 = perturb_near_orbit(eta, spec, table8)
-        res = run_first_return(s0, eta, band, cfg, table8)
+        res = run_first_returns([s0], [eta], band, cfg, table8)[0]
         fit = phi_envelope_fit(res.trajectory, eta)
         assert fit["phi"][0] == 0.0
         assert np.isfinite(fit["C"]) and fit["C"] >= 0.0

@@ -497,9 +497,9 @@ class TestStackedDistance:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_level_matches_array_path_bitwise(self, p):
-        # one level runs the bisection on Python floats; its root must be
-        # the array path's to the last bit, on both branches and at the
-        # branch minimum, including high levels that widen the bracket
+        # one level is the one-element case of the array path; its float
+        # must be the stacked root to the last bit, on both branches and at
+        # the branch minimum, including high levels that widen the bracket
         pr = ModelParams(m=0.5, p=p, dim=1, cutoff=1)
         rng = np.random.default_rng(p)
         f_min = potential_f(pr.center, pr)
@@ -715,6 +715,27 @@ class TestMonodromyAlgebra:
                     + EPS * (((a - d) / 2) ** 2 + abs(b * c)) / root
                 errors = [abs(x - y) for x, y in zip(mono.multipliers, exact)]
                 assert max(errors) <= 2 * bound, (matrix, errors, bound)
+
+    @pytest.mark.parametrize("trace, bound", [(6.0, 5e-16), (100.0, 2e-13),
+                                              (-6.0, 5e-16), (-100.0, 2e-13)])
+    def test_small_hyperbolic_root_against_mpmath(self, trace, bound):
+        # tr/2 - sqrt(disc) cancels in the smaller root of a real pair
+        # (7.6e-13 relative at tr = 100); det over the larger root does not
+        import mpmath
+        mu = (trace + math.copysign(math.sqrt(trace * trace - 4.0), trace)) / 2
+        p = np.array([[1.0, 0.3], [0.2, 1.0]])
+        matrix = p @ np.diag([mu, 1.0 / mu]) @ np.linalg.inv(p)
+        (a, b), (c, d) = matrix.tolist()
+        with mpmath.workdps(40):
+            ma, mb, mc, md = (mpmath.mpf(x) for x in (a, b, c, d))
+            root = mpmath.sqrt(((ma - md) / 2) ** 2 + mb * mc)
+            exact = float((ma + md) / 2 - math.copysign(1.0, trace) * root)
+        small = min(Monodromy(matrix, 1.0).multipliers, key=abs)
+        assert small.imag == 0.0
+        assert abs(small.real - exact) <= bound * abs(exact)
+
+    def test_nilpotent_multipliers(self):
+        assert Monodromy(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0).multipliers == (0j, 0j)
 
     def test_floquet_scan_records_keep_their_classification(self, params):
         # the grid of the benchmark's floquet_scan workload: p = 1, so every
