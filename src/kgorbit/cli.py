@@ -28,7 +28,8 @@ a stability report.  A floquet sweep reads only
 (eta, T) of each loop, T from the period quadrature, with no loop
 samples, and makes one loop pass per eta for all its lambdas (see
 ``stationary.floquet``).  Every stochastic perturbation requires an
-explicit seed; all outputs are reproducible from (config, seed).  CSV
+explicit seed, an integer in [0, 2**64); all outputs are reproducible
+from (config, seed).  CSV
 files carry a header row, '.' decimal separator, LF line endings and 17
 significant digits.
 """
@@ -45,7 +46,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import KgError, AssumptionViolated, OutOfRange, ParseError, ValidationError
-from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, linear_fit,
+from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, _check_seed, linear_fit,
                           period_scaling_sweep, perturb_near_orbit, power_law_fit,
                           run_first_returns, run_many_loops)
 from .hamiltonian import high_mode_energy
@@ -73,7 +74,7 @@ _SCHEMA = {
     "experiment": {
         "kind": _KINDS, "eta": "float", "eta_list": "float_list",
         "amplitude": "float", "modes": "int_list",
-        "distribution": _DISTRIBUTIONS, "seed": "int", "seeds": "int_list",
+        "distribution": _DISTRIBUTIONS, "seed": "seed", "seeds": "seed_list",
         "loop_budget": "int", "loop_rate": "float", "delta": "float",
         "lambdas": "float_list", "rebaseline": "bool",
         "dist_coefficient": "float", "drift_tol": "float",
@@ -121,10 +122,18 @@ def _parse_scalar(raw: str, tag, line_no: int, key: str):
         if tag == "float":
             return float(raw)
         if tag == "int":
-            val = float(raw)
+            try:
+                return int(raw)
+            except ValueError:           # an integral float form: 1e3, 8.0
+                val = float(raw)
             if val != int(val):
                 raise ValueError
             return int(val)
+        if tag == "seed":
+            try:
+                return _check_seed(_parse_scalar(raw, "int", line_no, key))
+            except ValidationError as exc:
+                raise ParseError(line_no, key, str(exc)) from exc
         if tag == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -533,7 +542,7 @@ def main(argv=None) -> int:
                     "nonlinear Klein-Gordon equation on flat tori.")
     parser.add_argument("--config", required=True, help="path to the run config")
     parser.add_argument("--output", help="output directory (overrides [output])")
-    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument("--seed", type=int, help="seed override, an integer in [0, 2**64)")
     parser.add_argument("--format", dest="formats",
                         help="comma-separated subset of csv,json")
     args = parser.parse_args(argv)
@@ -547,7 +556,7 @@ def main(argv=None) -> int:
                 raise ValidationError(
                     "--seed cannot override a config that sets 'seeds'; "
                     "remove one of the two")
-            cfg.experiment.seed = args.seed
+            cfg.experiment.seed = _check_seed(args.seed)
         if args.formats:
             cfg.formats = _check_formats(f.strip() for f in args.formats.split(","))
     except OSError as exc:

@@ -53,7 +53,10 @@ class PerturbationSpec:
     constant-mode pair itself).  'equipartition' gives every listed mode
     an equal share in both position and velocity parts, 'single_mode'
     puts everything in the position part of the first listed mode,
-    'random_direction' draws a Gaussian direction (seed mandatory).
+    'random_direction' draws a Gaussian direction (seed mandatory):
+    the draws of numpy's ``Generator(PCG64(seed)).standard_normal``, da then
+    db, reproduced by kgorbit whatever numpy is installed.  A seed is an
+    integer in [0, 2**64).
     """
 
     amplitude: float
@@ -68,6 +71,17 @@ class PerturbationSpec:
         if self.distribution not in ("equipartition", "single_mode", "random_direction"):
             raise ValidationError(f"unknown distribution {self.distribution!r}")
         object.__setattr__(self, "mode_set", tuple(int(k) for k in self.mode_set))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _check_seed(seed) -> int:
+    """The one admissibility rule for seeds: an integer in [0, 2**64),
+    returned as a Python int; ValidationError otherwise."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) \
+            and 0 <= seed < 1 << 64:
+        return int(seed)
+    raise ValidationError(f"a seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 @dataclass
@@ -189,12 +203,12 @@ def perturb_near_orbit(eta: float, spec: PerturbationSpec, table: SpectrumTable)
     else:
         if spec.seed is None:
             raise ValidationError("random_direction requires a seed")
-        # numpy.random costs a run about 6 MiB and 10 ms to load, so only
-        # a seeded draw imports it: floquet and period-sweep runs never do
-        from numpy.random import default_rng
-        rng = default_rng(spec.seed)
-        da[modes] = rng.standard_normal(modes.size)
-        db[modes] = rng.standard_normal(modes.size)
+        # the tables cost about 1 ms to load, so only a seeded draw
+        # imports them: floquet and period-sweep runs never do
+        from ._pcg64 import NormalStream
+        stream = NormalStream(spec.seed)
+        da[modes] = stream.standard_normal(modes.size)
+        db[modes] = stream.standard_normal(modes.size)
 
     scale = spec.amplitude / xnorm(State(da, db), table)
     return State(a + scale * da, b + scale * db, 0.0)

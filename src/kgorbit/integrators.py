@@ -561,73 +561,76 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
 
     i = 0                                    # steps made before the block
     blocks = None        # stack of the longest block, reused while the row count holds
-    while active:
-        longest = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // y[0].size))
-        if blocks is None or blocks.shape[1:] != y.shape:
-            blocks = None                      # free the old stack first
-            blocks = np.empty((longest + 1, *y.shape))
-        n = min(longest, min(members[k].horizon for k in active) - i)
-        stack = blocks[:n + 1]                # step j writes its (a, b) into slot j
-        stack[0] = y
-        a, b = stack[0, 0], stack[0, 1]
-        for j in range(1, n + 1):
-            a, b, kick = stage(a, b, kick, stack[j])
-        stack_a, stack_b = stack[:, 0], stack[:, 1]
-        finite = bool(np.isfinite(stack).all())
+    # an overflowing step is reported by the finiteness checks alone, as a
+    # member's NonFiniteState or the J exit of a chain
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active:
+            longest = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // y[0].size))
+            if blocks is None or blocks.shape[1:] != y.shape:
+                blocks = None                      # free the old stack first
+                blocks = np.empty((longest + 1, *y.shape))
+            n = min(longest, min(members[k].horizon for k in active) - i)
+            stack = blocks[:n + 1]                # step j writes its (a, b) into slot j
+            stack[0] = y
+            a, b = stack[0, 0], stack[0, 1]
+            for j in range(1, n + 1):
+                a, b, kick = stage(a, b, kick, stack[j])
+            stack_a, stack_b = stack[:, 0], stack[:, 1]
+            finite = bool(np.isfinite(stack).all())
 
-        crossings: dict[int, list[int]] = {}  # stack row -> steps into the block
-        if tracked:
-            res = np.where(on_a0, stack_a[:, :, 0], stack_b[:, :, 0]) - levels
-            product = res[:-1] * res[1:]
-            # fmin skips NaN, so a blown-up member cannot hide another's crossing
-            if np.fmin.reduce(product, axis=None) <= 0.0:
-                for j, r in np.argwhere(product <= 0.0).tolist():
-                    r_prev, r_now = res[j, r], res[j + 1, r]
-                    if members[active[r]].section is not None and (
-                            r_prev * r_now < 0 or (r_now == 0.0 and r_prev != 0.0)):
-                        crossings.setdefault(r, []).append(j + 1)
+            crossings: dict[int, list[int]] = {}  # stack row -> steps into the block
+            if tracked:
+                res = np.where(on_a0, stack_a[:, :, 0], stack_b[:, :, 0]) - levels
+                product = res[:-1] * res[1:]
+                # fmin skips NaN, so a blown-up member cannot hide another's crossing
+                if np.fmin.reduce(product, axis=None) <= 0.0:
+                    for j, r in np.argwhere(product <= 0.0).tolist():
+                        r_prev, r_now = res[j, r], res[j + 1, r]
+                        if members[active[r]].section is not None and (
+                                r_prev * r_now < 0 or (r_now == 0.0 and r_prev != 0.0)):
+                            crossings.setdefault(r, []).append(j + 1)
 
-        # Each member's crossings, then its samples up to the step it stops
-        # at.  A member that turns non-finite stops at its first non-finite
-        # sample; crossings refined after that step cannot change its result,
-        # which is then the NonFiniteState alone.
-        first = stride - i % stride            # first sample step of the block
-        leaving = []
-        for r, k in enumerate(active):
-            m = members[k]
-            end = n                            # last step the member keeps
-            stops = m.horizon - i == n         # a block ends at the next horizon
-            for j in crossings.get(r, ()):
-                t = m.t0 + (i + j) * dt
-                try:
-                    m.events.append(refine_crossing(
-                        State(stack_a[j - 1, r].copy(), stack_b[j - 1, r].copy(), t - dt),
-                        State(stack_a[j, r].copy(), stack_b[j, r].copy(), t),
-                        m.section, table, scheme=scheme))
-                except NoCrossing as exc:
-                    m.rejected[exc.reason] += 1
-                if m.limit is not None and len(m.events) >= m.limit:
-                    end, stops = j, True
-                    break
-            steps = list(range(first, end + 1, stride))
-            if stops and (i + end) % stride:
-                steps.append(end)
-            if steps:
-                m.sample([m.t0 + (i + j) * dt for j in steps], stack[:, :, r], steps,
-                         checked=finite)
-            if stops or m.error is not None:
-                leaving.append(r)
-        i += n
-        y = stack[n].copy()
-        del stack, stack_a, stack_b, a, b      # views of blocks, freed with it
+            # Each member's crossings, then its samples up to the step it stops
+            # at.  A member that turns non-finite stops at its first non-finite
+            # sample; crossings refined after that step cannot change its result,
+            # which is then the NonFiniteState alone.
+            first = stride - i % stride            # first sample step of the block
+            leaving = []
+            for r, k in enumerate(active):
+                m = members[k]
+                end = n                            # last step the member keeps
+                stops = m.horizon - i == n         # a block ends at the next horizon
+                for j in crossings.get(r, ()):
+                    t = m.t0 + (i + j) * dt
+                    try:
+                        m.events.append(refine_crossing(
+                            State(stack_a[j - 1, r].copy(), stack_b[j - 1, r].copy(), t - dt),
+                            State(stack_a[j, r].copy(), stack_b[j, r].copy(), t),
+                            m.section, table, scheme=scheme))
+                    except NoCrossing as exc:
+                        m.rejected[exc.reason] += 1
+                    if m.limit is not None and len(m.events) >= m.limit:
+                        end, stops = j, True
+                        break
+                steps = list(range(first, end + 1, stride))
+                if stops and (i + end) % stride:
+                    steps.append(end)
+                if steps:
+                    m.sample([m.t0 + (i + j) * dt for j in steps], stack[:, :, r], steps,
+                             checked=finite)
+                if stops or m.error is not None:
+                    leaving.append(r)
+            i += n
+            y = stack[n].copy()
+            del stack, stack_a, stack_b, a, b      # views of blocks, freed with it
 
-        if leaving:
-            keep = [r for r in range(len(active)) if r not in leaving]
-            active = [active[r] for r in keep]
-            y = y[:, keep]
-            on_a0, levels = on_a0[keep], levels[keep]
-            if kick is not None:
-                kick = kick[keep]
+            if leaving:
+                keep = [r for r in range(len(active)) if r not in leaving]
+                active = [active[r] for r in keep]
+                y = y[:, keep]
+                on_a0, levels = on_a0[keep], levels[keep]
+                if kick is not None:
+                    kick = kick[keep]
 
     del stage, blocks    # the buffers, before the results trim their last pages
     return [m.result(table) for m in members]

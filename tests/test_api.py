@@ -69,8 +69,9 @@ def test_readme_quick_start_runs(capsys):
 
 # One fresh interpreter imports kgorbit, runs the floquet and period-sweep
 # configs in its argument's directory through cli.main (outputs go there
-# too), then draws one seeded random_direction perturbation.  It reports
-# the loaded modules after each step and the start state as float.hex.
+# too), draws one seeded random_direction perturbation and then runs the
+# seeded first-return config.  It reports the loaded modules after each
+# step and the start state as float.hex.
 _LAZY_RANDOM_PROBE = """
 import json, os, sys
 import kgorbit, kgorbit.cli
@@ -78,7 +79,8 @@ from kgorbit import ModelParams, PerturbationSpec, build_spectrum, perturb_near_
 
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
-                  or m == "numpy.random" or m.startswith("numpy.random."))
+                  or m == "numpy.random" or m.startswith("numpy.random.")
+                  or m in ("secrets", "hashlib", "_hashlib"))
 
 out = sys.argv[1]
 report = {"import": loaded(), "codes": []}
@@ -93,34 +95,41 @@ s0 = perturb_near_orbit(0.05, spec, table)
 report["draw"] = loaded()
 report["a"] = [x.hex() for x in s0.a.tolist()]
 report["b"] = [x.hex() for x in s0.b.tolist()]
+config = os.path.join(out, "first-return.cfg")
+report["codes"].append(kgorbit.cli.main(["--config", config, "--output", out]))
+report["first-return"] = loaded()
 print(json.dumps(report))
 """
 
 # The start state of the probe's perturbation when numpy.random was still
-# imported with the package: the lazy import must draw the same numbers.
+# imported with the package: kgorbit's own stream must draw the same numbers.
 _SEEDED_START_A = ["0x1.999999999999ap-5", "0x1.83ac8d2139df6p-24", "0x1.6fc384be1c7fap-16",
                    "-0x1.517895650f9b2p-16", "-0x1.1215e9501d0f0p-14"] + ["0x0.0p+0"] * 4
 _SEEDED_START_B = ["0x0.0p+0", "-0x1.17db1f5019150p-15", "-0x1.312f943d9512dp-14",
                    "0x1.28274dd60d810p-18", "0x1.9c75cfad8c4cfp-14"] + ["0x0.0p+0"] * 4
 
 
-def test_numpy_random_loads_only_for_a_seeded_draw(tmp_path):
+def test_no_seeded_draw_loads_numpy_random(tmp_path):
     # scipy.integrate alone added about 40 MiB to the peak RSS of every
-    # run, and numpy.random adds about 6 MiB and 10 ms of CPU; a floquet
-    # or period-sweep run draws no random number, so it must load neither
+    # run, and numpy.random about 5 MiB and 8 ms of CPU, most of it OpenSSL
+    # through secrets and hashlib; no run loads any of them, a seeded draw
+    # and a seeded first-return run included
     import kgorbit
     model = "[model]\nm = 0.5\np = 1\ndim = 1\ncutoff = 2\n[experiment]\n"
     (tmp_path / "floquet.cfg").write_text(
         model + "kind = floquet\neta_list = 0.1,0.05\nlambdas = 6.283185307179586\n")
     (tmp_path / "period-sweep.cfg").write_text(
         model + "kind = period-sweep\neta_list = 0.1,0.05,0.02\n")
+    (tmp_path / "first-return.cfg").write_text(
+        model.replace("[experiment]", "[stepper]\ndt = 0.01\nscheme = rk4\n[experiment]")
+        + "kind = first-return\neta = 0.1\ndistribution = random_direction\nseed = 3\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(kgorbit.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _LAZY_RANDOM_PROBE, str(tmp_path)],
                           env=env, check=True, capture_output=True, text=True, timeout=120)
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
-    assert report["import"] == [] and report["floquet"] == [] and report["period-sweep"] == []
-    assert "numpy.random" in report["draw"]
-    assert [m for m in report["draw"] if m.startswith("scipy")] == []
+    assert report["codes"] == [0, 0, 0]
+    for step in ("import", "floquet", "period-sweep", "draw", "first-return"):
+        assert report[step] == [], step
     assert report["a"] == _SEEDED_START_A and report["b"] == _SEEDED_START_B
+    assert len(json.loads((tmp_path / "first-return.json").read_text())["runs"]) == 1

@@ -166,6 +166,23 @@ class TestParse:
             parse_config(MINIMAL.replace("m = 0.5", "m = 7"))
         assert "lambda_1" in str(err.value)
 
+    @pytest.mark.parametrize("raw,value", [
+        ("9007199254740993", 2 ** 53 + 1),       # float() rounds it to 2**53
+        ("18446744073709551615", 2 ** 64 - 1),   # and this one to 2**64
+        ("1e3", 1000), ("8.0", 8)])
+    def test_integers_parse_exactly(self, raw, value):
+        text = MINIMAL.replace("kind = simulate", f"kind = simulate\nseed = {raw}\nseeds = 1,{raw}")
+        ex = parse_config(text.replace("sample_stride = 100", f"sample_stride = {raw}")).experiment
+        assert (ex.seed, ex.seeds) == (value, (1, value))
+        assert all(type(v) is int for v in ex.seeds)
+
+    @pytest.mark.parametrize("line", ["seed = -1", "seed = 18446744073709551616",
+                                      "seeds = 1,-1", "seeds = 1,1e20"])
+    def test_seed_outside_u64_names_line_and_key(self, line):
+        with pytest.raises(ParseError, match=r"integer in \[0, 2\*\*64\)") as err:
+            parse_config(MINIMAL.replace("kind = simulate", "kind = simulate\n" + line))
+        assert (err.value.line, err.value.key) == (15, line.split()[0])
+
     def test_missing_seed_for_random(self):
         bad = MINIMAL.replace("kind = simulate",
                               "kind = simulate\ndistribution = random_direction")
@@ -490,6 +507,23 @@ class TestMain:
         assert "lambda = 10000.0" in error["message"] and "dt = 0.001" in error["message"]
         assert not (tmp_path / "10000").exists()
 
+    def test_overflowing_stability_run_warns_nothing(self, tmp_path, capsys):
+        # dt = 0.1 is past rk4's stability bound at K = 8: the chain leaves
+        # the regime in its first loop, and the J exit is the only report
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(MINIMAL.replace("cutoff = 4", "cutoff = 8").replace(
+            "dt = 1e-3\nscheme = split2", "dt = 0.1\nscheme = rk4").replace(
+            "kind = simulate\neta = 0.1",
+            "kind = stability\neta = 0.05\ndistribution = random_direction\n"
+            "seed = 1\nloop_budget = 2"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 2
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "o" / "stability.json").read_text())
+        assert report["regime_exited_at"] == 0 and report["j_within_regime"] is False
+
     def test_memory_error_record(self, tmp_path, capsys, monkeypatch):
         import kgorbit.cli as cli
 
@@ -560,6 +594,14 @@ class TestMain:
         j3 = json.loads((out3 / "simulate.json").read_text())
         assert j1["max_J"] != j2["max_J"]
         assert j1["max_J"] == j3["max_J"]
+        # a seed outside [0, 2**64) is refused before the run starts
+        for bad in ("-1", str(2 ** 64)):
+            out = tmp_path / ("bad" + bad)
+            assert main(["--config", str(cfg_path), "--output", str(out), "--seed", bad]) == 1
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error == {"type": "ValidationError",
+                             "message": f"a seed must be an integer in [0, 2**64), got {bad}"}
+            assert not out.exists()
         # a config that sets 'seeds' would ignore --seed: refused, not run
         capsys.readouterr()
         cfg_path.write_text(text.replace("seed = 1", "seeds = 1,2"))

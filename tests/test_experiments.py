@@ -98,6 +98,15 @@ class TestPerturbNearOrbit:
         with pytest.raises(ValidationError):
             perturb_near_orbit(0.1, spec, table8)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 3.0, True, "1"])
+    def test_seed_must_be_a_u64(self, seed):
+        with pytest.raises(ValidationError, match=r"integer in \[0, 2\*\*64\)"):
+            PerturbationSpec(amplitude=1e-3, distribution="random_direction", seed=seed)
+
+    def test_numpy_integer_seed_is_an_int(self):
+        spec = PerturbationSpec(amplitude=1e-3, seed=np.uint64(2 ** 64 - 1))
+        assert type(spec.seed) is int and spec.seed == 2 ** 64 - 1
+
     def test_energy_close_to_loop_level(self, table8, params8):
         # perturbed energy is -m^2 eta^2/2 + O(eta^3); here the gap decays
         # like eta^4 because the base point carries no velocity
