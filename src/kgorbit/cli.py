@@ -45,12 +45,13 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import KgError, AssumptionViolated, OutOfRange, ParseError, ValidationError
+from .errors import (KgError, AssumptionViolated, NonFiniteState, OutOfRange, ParseError,
+                     ValidationError)
 from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, _check_seed, linear_fit,
                           period_scaling_sweep, perturb_near_orbit, power_law_fit,
                           run_first_returns, run_many_loops)
 from .hamiltonian import high_mode_energy
-from .integrators import StepperConfig, evolve
+from .integrators import StepperConfig, _energy_blocks, _joined_energy, evolve_ensemble
 from .spectra import ModelParams, build_spectrum, check_mass_gap
 from .stationary import (Loop, check_eta, check_mode_eigenvalues, delta_band,
                          default_band, floquet, period)
@@ -355,27 +356,40 @@ def _initial_state(cfg: RunConfig, table, eta: float, seed=None):
 
 def _evolve_with_drift(cfg: RunConfig, table):
     """Evolve the start of ``simulate`` and ``energy-check``, the turning
-    point itself unless amplitude or modes are set; returns the trajectory,
-    its H - H(0) series and that series' least-squares slope."""
+    point itself unless amplitude or modes are set.  Each page of samples
+    is read as the time loop closes it, into its a0 and b0 columns and its
+    energy diagnostics (in the blocks of ``Trajectory.energy``), and then
+    dropped.  Returns the sample times, a0, b0, the energy diagnostics,
+    the H - H(0) series and that series' least-squares slope."""
     ex = cfg.experiment
     if ex.amplitude is None and ex.modes is None:
         s0 = perturb_near_orbit(ex.eta, PerturbationSpec(amplitude=0.0, mode_set=()), table)
     else:
         s0 = _initial_state(cfg, table, ex.eta)
-    traj = evolve(s0, cfg.stepper, table)
-    dh = traj.energy.H - traj.energy.H[0]
-    return traj, dh, linear_fit(traj.times, dh)["slope"]
+    a0, b0, blocks = [], [], []
+
+    def read(page):
+        a0.append(page.a[:, 0].copy())
+        b0.append(page.b[:, 0].copy())
+        blocks.extend(_energy_blocks(page, table))
+
+    traj = evolve_ensemble([s0], [cfg.stepper], table, read=read)[0]
+    if isinstance(traj, NonFiniteState):
+        raise traj
+    energy = _joined_energy(blocks)
+    dh = energy.H - energy.H[0]
+    return (traj.times, np.concatenate(a0), np.concatenate(b0), energy, dh,
+            linear_fit(traj.times, dh)["slope"])
 
 
 def _run_simulate(cfg: RunConfig, table, out: dict):
     eta = cfg.experiment.eta
-    traj, _, drift = _evolve_with_drift(cfg, table)
-    energy = traj.energy
+    times, a0, b0, energy, _, drift = _evolve_with_drift(cfg, table)
     out["csv"] = (["t", "a0", "b0", "H", "J", "I", "r"],
-                  _rows(traj.times, traj.a0, traj.b0, energy.H, energy.J, energy.I, energy.r))
+                  _rows(times, a0, b0, energy.H, energy.J, energy.I, energy.r))
     out["json"] = {
         "experiment": "simulate", "eta": eta, "H_drift": drift,
-        "max_J": float(traj.energy.J.max()), "final_time": float(traj.times[-1]),
+        "max_J": float(energy.J.max()), "final_time": float(times[-1]),
         "anomaly": False,
     }
     return 0
@@ -395,8 +409,9 @@ def _run_first_return(cfg: RunConfig, table, out: dict):
     band = _band(cfg)
     combos = [(eta, seed) for eta in etas for seed in seeds]
     starts = [_initial_state(cfg, table, eta, seed) for eta, seed in combos]
+    # the runs read only the rejected crossings, so no member keeps its samples
     results = run_first_returns(starts, [eta for eta, _ in combos], band,
-                                cfg.stepper, table)
+                                cfg.stepper, table, read=lambda page: None)
     runs = []
     for (eta, seed), s0, res in zip(combos, starts, results):
         j0 = high_mode_energy(s0, table)
@@ -480,9 +495,9 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
 
 def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
-    traj, dh, drift = _evolve_with_drift(cfg, table)
+    times, _, _, _, dh, drift = _evolve_with_drift(cfg, table)
     anomaly = abs(drift) > ex.drift_tol
-    out["csv"] = (["t", "H_minus_H0"], _rows(traj.times, dh))
+    out["csv"] = (["t", "H_minus_H0"], _rows(times, dh))
     out["json"] = {
         "experiment": "energy-check", "eta": ex.eta,
         "drift_slope": drift, "drift_tol": ex.drift_tol,

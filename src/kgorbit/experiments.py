@@ -226,7 +226,7 @@ def _return_section(s0: State, band: DeltaBand, params: ModelParams) -> SectionS
 
 
 def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
-                      table: SpectrumTable
+                      table: SpectrumTable, read=None
                       ) -> list[FirstReturnResult | NoReturn | NonFiniteState]:
     """First returns of many start states, integrated as one ensemble.
 
@@ -237,12 +237,15 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
     slot of the returned list; the other members go on, so one failure
     is reported rather than fatal to a sweep.  The one first-return
     driver: ``run_many_loops`` calls it with one member per loop.
+    ``read`` is passed to ``evolve_ensemble``: each member's pages of
+    samples go to its reader as they close, and a result's trajectory
+    keeps them only where the reader is None.
     """
     params = table.params
     sections = [_return_section(s0, band, params) for s0 in states]
     cfgs = [replace(cfg, max_time=10.0 * period(eta, params), section=section)
             for eta, section in zip(etas, sections)]
-    runs = evolve_ensemble(states, cfgs, table, max_events=1)
+    runs = evolve_ensemble(states, cfgs, table, max_events=1, read=read)
     results: list[FirstReturnResult | NoReturn | NonFiniteState] = []
     for s0, eta, section, run_cfg, traj in zip(states, etas, sections, cfgs, runs):
         if isinstance(traj, NonFiniteState):
@@ -281,10 +284,12 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     (set rebaseline=False to keep the original eta).  The run stops early,
     with a flag, if J exceeds eta^5 at any sample or a return is not
     found; a loop that turns non-finite raises NonFiniteState.  Distances
-    to the original loop are measured at every sample time.  Each loop's
-    samples are read page by page, J by ``high_mode_energy`` with no grid
-    work, and dropped before the next loop integrates, so the run holds
-    one loop's samples at a time.
+    to the original loop are measured at every sample time.  Each loop
+    reads its samples page by page as the time loop closes them: J by
+    ``high_mode_energy`` with no grid work, the largest ``dist_to_orbit``
+    and the largest |a0|.  The page is then dropped, so the run holds
+    one page of samples at a time, and keeps only the times and J of
+    every sample.
     """
     j_ceiling = eta ** 5
     current = s0
@@ -298,15 +303,27 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     prev_J = high_mode_energy(s0, table)
     regime_exited_at = None
 
+    loop_pages: list[tuple[np.ndarray, float, float]] = []
+
+    def read(page: State) -> None:
+        # J, the largest distance and the largest |a0| of one page of a loop
+        loop_pages.append((high_mode_energy(page, table),
+                           float(dist_to_orbit(page, eta, band, table).max()),
+                           float(np.abs(page.a[:, 0]).max())))
+
     for k in range(loop_budget):
-        res = run_first_returns([current], [current_eta], band, cfg, table)[0]
+        loop_pages.clear()
+        res = run_first_returns([current], [current_eta], band, cfg, table, read=read)[0]
         if isinstance(res, NoReturn):
             regime_exited_at = k
             break
         if isinstance(res, NonFiniteState):
             raise res
         traj = res.trajectory
-        j_vals = np.concatenate([high_mode_energy(page, table) for page in traj.pages])
+        j_pages, page_dists, page_a0s = zip(*loop_pages)
+        j_vals = np.concatenate(j_pages)
+        max_dist = max(max_dist, *page_dists)
+        max_abs_a0 = max(max_abs_a0, *page_a0s)
         # the post-event sample of a loop sits just past the refined event
         # time where the next loop starts; keep the merged series monotone
         keep = traj.times > times_all[-1][-1] if times_all else \
@@ -314,8 +331,6 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         times_all.append(traj.times[keep])
         j_all.append(j_vals[keep])
         loop_max_j = float(j_vals.max())
-        max_dist = max(max_dist, float(dist_to_orbit(traj.pages, eta, band, table).max()))
-        max_abs_a0 = max(max_abs_a0, float(np.abs(traj.a0).max()))
         d_ret = dist_to_orbit(res.state, eta, band, table)
         max_dist = max(max_dist, d_ret)
         records.append(LoopRecord(
@@ -331,7 +346,6 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
             regime_exited_at = k
             break
         current = res.state
-        del res, traj, j_vals    # the loop's samples go before the next loop integrates
         if rebaseline:
             try:
                 current_eta = _rebaseline_eta(current, table.params)

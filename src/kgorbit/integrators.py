@@ -55,9 +55,14 @@ the states handed to refinement are copies: no result shares memory
 with the stack or with a stage's buffers.  A member's samples are
 copied from the stack into pages that the member owns, each a
 (2, rows, modes) array holding whole blocks of ``Trajectory.energy``,
-about 2^15 values of a per full page; the last page is trimmed to its
-rows.  The returned ``Trajectory`` holds those pages, the one copy of
-the samples, and joins them only when ``a`` or ``b`` is read.
+about 2^15 values of a per full page.  A page is closed when it is full
+or the member stops, and then handed to the member's reader; a page
+never holds more rows than the member can still sample before its
+horizon, and the last page of a member that stops early is trimmed to
+its rows.  The default reader keeps the pages on the returned
+``Trajectory``, the one copy of the samples, which joins them only when
+``a`` or ``b`` is read; a run given its own reader holds one page per
+member at a time.
 A member that stops inside a block is stepped on to the block's end
 and then leaves the stack: up to 63 wasted steps per stop, and a stack
 whose row count changes at block ends rather than at each stop, which
@@ -78,7 +83,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import NoCrossing, NonFiniteState
+from .errors import InsufficientSamples, NoCrossing, NonFiniteState
 from .hamiltonian import EnergyBreakdown, State, energy_breakdown, validate_state
 from .spectra import _CHUNK_VALUES, SpectrumTable, _kernel_work, _project_power_raw
 
@@ -155,11 +160,25 @@ def _energy_rows(table: SpectrumTable) -> int:
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
     """One read-only array of ``parts`` along the first axis: the part
     itself when there is one, else a new array."""
-    if len(parts) == 1:
-        return parts[0]
-    out = np.concatenate(parts)
+    if not parts:
+        raise InsufficientSamples("the trajectory keeps no samples: its pages went to a reader")
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
     out.flags.writeable = False
     return out
+
+
+def _energy_blocks(page: State, table: SpectrumTable) -> list[EnergyBreakdown]:
+    """Energy diagnostics of the samples of one page, in blocks of
+    ``_energy_rows`` rows."""
+    rows = _energy_rows(table)
+    return [energy_breakdown(State(page.a[i:i + rows], page.b[i:i + rows]), table)
+            for i in range(0, len(page.a), rows)]
+
+
+def _joined_energy(blocks: list[EnergyBreakdown]) -> EnergyBreakdown:
+    """One EnergyBreakdown of read-only (S,) fields from ``blocks`` in order."""
+    return EnergyBreakdown(**{f.name: _joined([getattr(block, f.name) for block in blocks])
+                              for f in fields(EnergyBreakdown)})
 
 
 @dataclass
@@ -175,6 +194,10 @@ class Trajectory:
     crossings as (time, State) pairs and ``rejected`` the crossings
     refinement turned down, by NoCrossing reason.  The energy diagnostics
     of all samples are computed on first use, page by page.
+    A run given a reader (see ``evolve_ensemble``) handed its pages to
+    that reader as they closed and keeps none: ``pages`` is empty, and
+    reading ``a``, ``b``, ``a0``, ``b0`` or ``energy`` raises
+    InsufficientSamples.
     """
 
     times: np.ndarray
@@ -203,15 +226,8 @@ class Trajectory:
     def energy(self) -> EnergyBreakdown:
         """Energy diagnostics of every sample; each field is an (S,) array.
         Each page is cut into blocks of ``_energy_rows`` rows."""
-        rows = _energy_rows(self.table)
-        parts = [energy_breakdown(State(p.a[i:i + rows], p.b[i:i + rows]), self.table)
-                 for p in self.pages for i in range(0, len(p.a), rows)]
-        columns = {}
-        for f in fields(EnergyBreakdown):
-            column = np.concatenate([getattr(part, f.name) for part in parts])
-            column.flags.writeable = False
-            columns[f.name] = column
-        return EnergyBreakdown(**columns)
+        return _joined_energy([block for p in self.pages
+                               for block in _energy_blocks(p, self.table)])
 
 
 class _LinearFlow:
@@ -441,33 +457,40 @@ class _Member:
 
     Samples are copied straight from the block stack into pages, each
     one (2, rows, modes) array of a and b rows; a full page holds
-    ``page_rows`` rows.  The member's first page starts at the size of
-    its first write and doubles until full; a page opened after a full
-    one starts full.  The last page is trimmed to its rows when the run
-    ends."""
+    ``page_rows`` rows, and no page holds more rows than the member can
+    still sample before its horizon.  The member's first page starts at
+    the size of its first write and doubles until full; a page opened
+    after a full one starts full, or at the rows left.  A page is closed
+    when it is full or the member stops, trimmed to its rows, and handed
+    to ``read``, by default the append of the member's own list of
+    pages."""
 
-    def __init__(self, s0: State, cfg: StepperConfig, limit: int | None, page_rows: int):
+    def __init__(self, s0: State, cfg: StepperConfig, limit: int | None, page_rows: int,
+                 read):
         self.t0 = s0.t
         self.section = cfg.section
         self.horizon = max(1, int(round(cfg.max_time / cfg.dt)))
+        # samples of a run to the horizon: step 0, every stride-th step, the horizon
+        self.capacity = 1 + -(-self.horizon // cfg.sample_stride)
         self.limit = limit
         self.modes = len(s0.a)
         self.page_rows = page_rows
         self.times: list[float] = []
         self.pages: list[State] = []
+        self.read = self.pages.append if read is None else read
         self.page = np.empty((2, 0, self.modes))    # the page being written
         self.used = 0                                # its rows written so far
         self.events: list[tuple[float, State]] = []
         self.rejected = {"sign_constraint": 0, "stalled": 0, "no_sign_change": 0}
         self.error: NonFiniteState | None = None
 
-    def _close(self) -> None:
-        """Move the page being written, trimmed to its rows, to the pages."""
+    def close(self) -> None:
+        """Hand the page being written, trimmed to its rows, to the reader."""
         page = self.page if self.used == self.page.shape[1] else self.page[:, :self.used].copy()
         page.flags.writeable = False
         start = len(self.times) - self.used
-        self.pages.append(State(page[0], page[1], self.times[start]))
         self.page, self.used = None, 0
+        self.read(State(page[0], page[1], self.times[start]))
 
     def _room(self, wanted: int) -> None:
         """Make room for at least one more row in the page being written,
@@ -475,11 +498,12 @@ class _Member:
         rows = self.page.shape[1]
         if self.used < rows:
             return
+        left = self.capacity - len(self.times)       # rows the member can still sample
         if rows == self.page_rows:
-            self._close()
-            self.page = np.empty((2, self.page_rows, self.modes))
+            self.close()
+            self.page = np.empty((2, min(self.page_rows, left), self.modes))
             return
-        grown = np.empty((2, min(self.page_rows, max(2 * rows, wanted)), self.modes))
+        grown = np.empty((2, min(self.page_rows, rows + left, max(2 * rows, wanted)), self.modes))
         grown[:, :rows] = self.page
         self.page = grown
 
@@ -487,7 +511,8 @@ class _Member:
                checked: bool) -> None:
         """Record samples, rows ``rows`` of the member's (steps, 2, modes)
         phase-space states in time order, up to the first one that is not
-        finite, which stops the member and drops its pages."""
+        finite, which stops the member and drops the pages it kept.  A
+        reader is only handed pages of finite rows."""
         done = 0
         while done < len(rows):
             self._room(len(rows) - done)
@@ -499,7 +524,8 @@ class _Member:
                 if not finite.all():
                     bad = done + int(finite.argmin())
                     self.error = NonFiniteState(f"non-finite coefficients at t = {times[bad]}")
-                    self.pages, self.page = [], None
+                    self.pages.clear()
+                    self.page = None
                     return
             self.used += n
             self.times.extend(times[done:done + n])
@@ -508,15 +534,14 @@ class _Member:
     def result(self, table: SpectrumTable) -> Trajectory | NonFiniteState:
         if self.error is not None:
             return self.error
-        self._close()
         times = np.array(self.times)
         times.flags.writeable = False
         return Trajectory(times, self.pages, events=self.events, rejected=self.rejected,
                           table=table)
 
 
-def evolve_ensemble(states, cfgs, table: SpectrumTable,
-                    max_events=None) -> list[Trajectory | NonFiniteState]:
+def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
+                    read=None) -> list[Trajectory | NonFiniteState]:
     """Integrate a stack of members together, one kernel call per force
     evaluation for the whole stack.
 
@@ -529,22 +554,38 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
     list, while the others go on.  Rows keep the members' order and a
     finished member leaves the stack at the end of its block of steps, so
     the batch layout is a function of the inputs alone.
+
+    ``read`` is one callable for every member or a sequence with one per
+    member, None keeping that member's samples.  A member's samples go
+    into pages, States of (rows, modes) stacks in time order, and each
+    page is handed to the member's reader as soon as it is closed: when
+    it is full (about 2^15 values of a) or the member stops.  A reader
+    that keeps nothing leaves the run holding one page per member; its
+    member's Trajectory has ``pages == []``.  Without a reader the pages
+    stay on the Trajectory.  A member that turns non-finite hands no
+    page with a non-finite row to its reader.
     """
     if len(states) != len(cfgs):
         raise ValueError(f"{len(states)} states but {len(cfgs)} configs")
+    per_member = {"max_events": max_events, "read": read}
+    for name, value in per_member.items():
+        if callable(value) or np.ndim(value) == 0:
+            per_member[name] = [value] * len(states)
+        elif len(value) != len(states):
+            raise ValueError(f"{len(states)} states but {len(value)} {name} entries")
     if len({(c.dt, c.scheme, c.sample_stride) for c in cfgs}) > 1:
         raise ValueError("ensemble members must share dt, scheme and sample_stride")
     if not states:
         return []
     for s in states:
         validate_state(s, table)
-    if max_events is None or np.ndim(max_events) == 0:
-        max_events = [max_events] * len(states)
     # a full page holds about _CHUNK_VALUES values of a, in whole energy
     # blocks, so Trajectory.energy blocks the samples as one array would
     rows = _energy_rows(table)
     page_rows = rows * max(1, _CHUNK_VALUES // (table.mode_count * rows))
-    members = [_Member(s, c, limit, page_rows) for s, c, limit in zip(states, cfgs, max_events)]
+    members = [_Member(s, c, limit, page_rows, r)
+               for s, c, limit, r in zip(states, cfgs, per_member["max_events"],
+                                         per_member["read"])]
     dt, stride, scheme = cfgs[0].dt, cfgs[0].sample_stride, cfgs[0].scheme
     stage = _stage(scheme, dt, table)
 
@@ -618,7 +659,10 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
                 if steps:
                     m.sample([m.t0 + (i + j) * dt for j in steps], stack[:, :, r], steps,
                              checked=finite)
-                if stops or m.error is not None:
+                if m.error is not None:
+                    leaving.append(r)
+                elif stops:
+                    m.close()                      # the last page goes to the reader
                     leaving.append(r)
             i += n
             y = stack[n].copy()
@@ -632,7 +676,6 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable,
                 if kick is not None:
                     kick = kick[keep]
 
-    del stage, blocks    # the buffers, before the results trim their last pages
     return [m.result(table) for m in members]
 
 

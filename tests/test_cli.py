@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kgorbit import (ParseError, ValidationError, build_spectrum, parse_config, run,
-                     serialize_config)
+from kgorbit import (ParseError, ValidationError, build_spectrum, evolve_ensemble,
+                     parse_config, run, serialize_config)
 from kgorbit.cli import _initial_state, _write_csv, main
 from kgorbit.stationary import floquet, sample_orbit
 
@@ -230,6 +230,38 @@ class TestRun:
         assert "H_drift" in payload and "max_J" in payload
         assert payload["max_J"] == 0.0  # planar start stays planar
 
+    @pytest.mark.parametrize("kind", ["simulate", "energy-check"])
+    def test_series_read_page_by_page(self, tmp_path, monkeypatch, kind):
+        # 6001 samples fill three pages and several energy blocks; the run
+        # keeps none of them, and its CSV equals the one written from a run
+        # that keeps its samples, bit for bit
+        import kgorbit.cli as cli
+        from kgorbit import evolve
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.extend(evolve_ensemble(*args, **kwargs))
+            return runs[-len(args[0]):]
+
+        monkeypatch.setattr(cli, "evolve_ensemble", recorded)
+        cfg = parse_config(MINIMAL.replace("kind = simulate", f"kind = {kind}").replace(
+            "max_time = 2.0\nsample_stride = 100", "max_time = 6.0\nsample_stride = 1").replace(
+            "eta = 0.1", "eta = 0.1\namplitude = 1e-3\nmodes = 1,2,3"))
+        cfg.output_dir = str(tmp_path)
+        assert run(cfg) in (0, 2)
+        assert len(runs) == 1 and runs[0].pages == [] and len(runs[0].times) == 6001
+        table = build_spectrum(cfg.model)
+        kept = evolve(_initial_state(cfg, table, 0.1), cfg.stepper, table)
+        assert len(kept.pages) == 3
+        e = kept.energy
+        if kind == "simulate":
+            header = ["t", "a0", "b0", "H", "J", "I", "r"]
+            columns = (kept.times, kept.a0, kept.b0, e.H, e.J, e.I, e.r)
+        else:
+            header, columns = ["t", "H_minus_H0"], (kept.times, e.H - e.H[0])
+        _write_csv(str(tmp_path / "kept.csv"), header, zip(*(c.tolist() for c in columns)))
+        assert (tmp_path / f"{kind}.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
     def test_period_sweep(self, tmp_path):
         text = MINIMAL.replace("kind = simulate\neta = 0.1",
                                "kind = period-sweep\neta_list = 0.1,0.05,0.02")
@@ -392,6 +424,22 @@ class TestFirstReturnSweep:
         failed_rows = [row.split(",") for row in rows[1:] if float(row.split(",")[0]) == 0.05]
         assert len(failed_rows) == 2
         assert all(row[2] == row[3] == row[5] == "nan" for row in failed_rows)
+
+    def test_members_keep_no_samples(self, tmp_path, monkeypatch):
+        import kgorbit.cli as cli
+        from kgorbit import run_first_returns
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.extend(run_first_returns(*args, **kwargs))
+            return results
+
+        monkeypatch.setattr(cli, "run_first_returns", recorded)
+        cfg = parse_config(FIRST_RETURN)
+        cfg.output_dir = str(tmp_path)
+        assert run(cfg) in (0, 2)
+        assert len(results) == 8
+        assert all(r.trajectory.pages == [] and len(r.trajectory.times) > 1 for r in results)
 
     def test_rerun_gives_identical_files(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"

@@ -259,6 +259,34 @@ class TestManyLoops:
         assert len(three.J_series[0]) > 3 * 1500
         assert three_peak <= 1.25 * one_peak
 
+    def test_chain_holds_one_page_not_one_loop(self):
+        # one loop of about 16,200 samples of 33 modes, 8.2 MiB of
+        # coefficients at stride 1; the chain reads each page as it closes,
+        # so its peak grows only by the times and J it keeps per sample
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=16))
+        eta = 0.05
+        spec = PerturbationSpec(amplitude=eta ** 3, distribution="random_direction", seed=1)
+        s0 = perturb_near_orbit(eta, spec, table)
+        band = default_band(table.params)
+
+        def peak(stride):
+            cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=100.0, sample_stride=stride)
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                report = run_many_loops(s0, eta, band, 1, cfg, table)
+                return report, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        peak(16)                     # first calls fill caches outside the chain
+        (dense, dense_peak), (sparse, sparse_peak) = peak(1), peak(16)
+        assert len(dense.J_series[0]) > 16000 and len(sparse.J_series[0]) > 1000
+        assert dense_peak <= 2 * sparse_peak
+
     def test_loop_records_count_rejected_crossings(self, table8, params8, cfg,
                                                    monkeypatch):
         import kgorbit.experiments as experiments

@@ -6,9 +6,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kgorbit import (EnergyBreakdown, NoCrossing, NonFiniteState, SectionSpec, State,
-                     StepperConfig, Trajectory, dist_x, evolve, evolve_ensemble, homoclinic,
-                     period, refine_crossing, rk4_step, split2_step)
+from kgorbit import (EnergyBreakdown, InsufficientSamples, NoCrossing, NonFiniteState,
+                     SectionSpec, State, StepperConfig, Trajectory, dist_x, evolve,
+                     evolve_ensemble, homoclinic, period, refine_crossing, rk4_step,
+                     split2_step)
 from kgorbit.integrators import _BLOCK_STEPS, _LinearFlow, _stage
 from kgorbit.spectra import _CHUNK_VALUES, _project_power_raw
 
@@ -931,3 +932,120 @@ class TestPages:
         cfg = StepperConfig(dt=1e-2, max_time=0.5, sample_stride=10)
         (page,) = evolve(TestBlockLoop._start(table8), cfg, table8).pages
         assert page.a.base.shape == (2, 6, table8.mode_count)
+
+    def test_pages_hold_little_more_than_their_rows(self):
+        # 1D K=16 at dt = 1e-2 to t = 16.2: 1621 samples in pages of 756,
+        # 756 and 109 rows; a last page opened at full size and trimmed by
+        # a copy peaks at about 1.55 times the samples' bytes
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=16))
+        s0, cfg = TestBlockLoop._start(table), StepperConfig(dt=1e-2, max_time=16.2)
+        evolve(s0, cfg, table)                     # first calls fill caches outside the run
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            got = evolve(s0, cfg, table)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert [len(p.a) for p in got.pages] == [756, 756, 109]
+        assert all(p.a.base.shape == (2, len(p.a), table.mode_count) for p in got.pages)
+        assert peak <= 1.25 * sum(p.a.nbytes + p.b.nbytes for p in got.pages)
+
+
+class TestReaders:
+    """Pages handed to a reader, joined, equal the samples that a keeping
+    run holds, bit for bit, with the same times and in time order."""
+
+    @staticmethod
+    def _assert_read(got, pages, kept):
+        assert got.pages == [] and len(pages) >= 2
+        assert np.array_equal(got.times, kept.times)
+        assert [t for t, _ in got.events] == [t for t, _ in kept.events]
+        assert got.rejected == kept.rejected
+        assert np.array_equal(np.concatenate([p.a for p in pages]), kept.a)
+        assert np.array_equal(np.concatenate([p.b for p in pages]), kept.b)
+        row = 0
+        for p in pages:
+            assert p.t == kept.times[row] and not p.a.flags.writeable
+            row += len(p.a)
+        for name in ("a", "b", "a0", "b0", "energy"):
+            with pytest.raises(InsufficientSamples, match="reader"):
+                getattr(got, name)
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_stop_inside_a_block(self, table, scheme, stride, monkeypatch):
+        TestPages._paged(monkeypatch, table)
+        cfg = StepperConfig(dt=1e-2, scheme=scheme, max_time=60.0, sample_stride=stride,
+                            section=SectionSpec("b0_equals", 0.0, "a0_left_of_center"))
+        s0 = TestBlockLoop._start(table)
+        pages = []
+        got = evolve_ensemble([s0], [cfg], table, 1, read=pages.append)[0]
+        kept = evolve(s0, cfg, table, 1)
+        assert len(got.events) == 1 and round(got.times[-1] / cfg.dt) % _BLOCK_STEPS != 0
+        self._assert_read(got, pages, kept)
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_page_boundary_on_a_block_end(self, table, scheme, monkeypatch):
+        # pages of 90 rows at stride 1; the short member's horizon of 89
+        # steps ends the second block, where the long member's first page
+        # fills, and the short member's one page fills as it stops
+        page_rows = TestPages._paged(monkeypatch, table)
+        starts = [TestBlockLoop._start(table, 0.1), TestBlockLoop._start(table, 0.2)]
+        cfgs = [StepperConfig(dt=1e-2, scheme=scheme, max_time=0.89, sample_stride=1),
+                StepperConfig(dt=1e-2, scheme=scheme, max_time=3.0, sample_stride=1)]
+        pages = ([], [])
+        got = evolve_ensemble(starts, cfgs, table, read=[p.append for p in pages])
+        kept = evolve_ensemble(starts, cfgs, table)
+        assert [len(p.a) for p in pages[0]] == [page_rows]
+        assert [len(p.a) for p in pages[1]] == [page_rows, page_rows, page_rows, 31]
+        self._assert_read(got[1], pages[1], kept[1])
+        assert np.array_equal(pages[0][0].a, kept[0].a) and got[0].pages == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, a0, dt", [("split2", 9.0, 0.1), ("rk4", 0.1, 0.114)])
+    def test_non_finite_member(self, table, scheme, a0, dt, monkeypatch):
+        TestPages._paged(monkeypatch, table)
+        cfg = StepperConfig(dt=dt, scheme=scheme, max_time=100.0, sample_stride=1)
+        s0 = TestBlockLoop._start(table, a0)
+        pages = []
+        (got,) = evolve_ensemble([s0], [cfg], table, read=pages.append)
+        assert isinstance(got, NonFiniteState) and len(pages) >= 2
+        assert all(np.isfinite(p.a).all() and np.isfinite(p.b).all() for p in pages)
+        # the rows read are the run's first rows
+        rows = sum(len(p.a) for p in pages)
+        kept = evolve(s0, StepperConfig(dt=dt, scheme=scheme, max_time=(rows - 1) * dt,
+                                        sample_stride=1), table)
+        assert np.array_equal(np.concatenate([p.a for p in pages]), kept.a)
+        assert np.array_equal(np.concatenate([p.b for p in pages]), kept.b)
+
+    @pytest.mark.parametrize("scheme", ["split2", "rk4"])
+    def test_none_entry_keeps_its_pages(self, table, scheme, monkeypatch):
+        TestPages._paged(monkeypatch, table)
+        starts = [TestBlockLoop._start(table, 0.05 + 0.05 * k) for k in range(3)]
+        cfgs = [StepperConfig(dt=1e-2, scheme=scheme, max_time=T, sample_stride=2,
+                              section=SectionSpec("a0_equals", 0.1, "b0_positive"))
+                for T in (4.0, 7.5, 6.1)]
+        pages = ([], [])
+        got = evolve_ensemble(starts, cfgs, table, [None, 2, 1],
+                              read=[pages[0].append, None, pages[1].append])
+        kept = evolve_ensemble(starts, cfgs, table, [None, 2, 1])
+        self._assert_read(got[0], pages[0], kept[0])
+        self._assert_read(got[2], pages[1], kept[2])
+        assert len(got[1].pages) >= 2
+        assert np.array_equal(got[1].a, kept[1].a) and np.array_equal(got[1].b, kept[1].b)
+        assert np.array_equal(got[1].times, kept[1].times)
+
+    def test_per_member_lengths_must_match_states(self, table):
+        s = TestBlockLoop._start(table)
+        cfg = StepperConfig(dt=1e-2, max_time=0.5)
+        with pytest.raises(ValueError, match="3 states but 1 max_events"):
+            evolve_ensemble([s, s, s], [cfg] * 3, table, max_events=[1])
+        with pytest.raises(ValueError, match="3 states but 2 read"):
+            evolve_ensemble([s, s, s], [cfg] * 3, table, read=[None, None])
+        assert len(evolve_ensemble([s, s, s], [cfg] * 3, table, max_events=[1] * 3,
+                                   read=[None] * 3)) == 3
