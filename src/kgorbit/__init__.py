@@ -23,10 +23,9 @@ from .stationary import (DeltaBand, Loop, Monodromy, PeriodicOrbit, PlanarState,
                          default_band, delta_band, dist_to_orbit, floquet,
                          homoclinic, invert_potential, period,
                          project_to_orbit, sample_orbit, turning_point)
-from .experiments import (FirstReturnResult, IBoundCheck, LoopRecord,
-                          PerturbationSpec, StabilityReport, bound_check_I,
-                          period_scaling_sweep, perturb_near_orbit,
-                          phi_envelope_fit, run_first_returns, run_many_loops)
+from .experiments import (FirstReturnResult, LoopRecord, PerturbationSpec,
+                          StabilityReport, period_scaling_sweep, perturb_near_orbit,
+                          run_first_returns, run_many_loops)
 from .cli import RunConfig, parse_config, run, serialize_config
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ class EmptyModeSet(KgError):
 
 
 class InsufficientSamples(KgError):
-    """Too few trajectory samples for a finite-difference diagnostic."""
+    """A ``Trajectory`` whose pages went to a reader was asked for its samples."""
 
 
 class ValidationError(KgError):

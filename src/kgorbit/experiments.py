@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (EmptyModeSet, DimensionMismatch, InsufficientSamples, NonFiniteState,
-                     NoReturn, ValidationError)
+from .errors import EmptyModeSet, DimensionMismatch, NonFiniteState, NoReturn, ValidationError
 from .hamiltonian import (State, dist_x, hamiltonian, high_mode_energy,
                           i_j_equivalence_bound, potential_f, xnorm)
 from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
@@ -32,16 +31,12 @@ from .stationary import DeltaBand, dist_to_orbit, invert_potential, period
 
 __all__ = [
     "PerturbationSpec", "FirstReturnResult", "LoopRecord", "StabilityReport",
-    "IBoundCheck", "perturb_near_orbit", "run_first_returns", "run_many_loops",
-    "period_scaling_sweep", "bound_check_I", "phi_envelope_fit",
+    "perturb_near_orbit", "run_first_returns", "run_many_loops", "period_scaling_sweep",
     "linear_fit", "power_law_fit", "EXPONENT_PASS_RANGE",
 ]
 
 # Two-sided acceptance window for fitted distance exponents.
 EXPONENT_PASS_RANGE = (1.8, 2.6)
-
-# bound_check_I flags sample times whose ratio exceeds this.
-_RATIO_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -134,16 +129,6 @@ class StabilityReport:
     equivalence_bound: float
     completed_loops: int
     requested_loops: int
-
-
-@dataclass
-class IBoundCheck:
-    """Empirical constant for |dI/dt| <= C (a0^(2p-1) |da0/dt| I + I^(3/2))."""
-
-    c_max: float | None
-    n_points: int
-    vacuous: bool
-    flagged_times: list[float]
 
 
 def linear_fit(x, y) -> dict:
@@ -391,54 +376,3 @@ def period_scaling_sweep(eta_list, params: ModelParams) -> dict:
         "B": fit["intercept"],
         "r_squared": fit["r_squared"],
     }
-
-
-def bound_check_I(trajectory: Trajectory) -> IBoundCheck:
-    """Empirical constant in the a priori bound on dI/dt.
-
-    dI/dt is estimated by centered differences of the sampled I series
-    and compared pointwise against a0^(2p-1) |da0/dt| I + I^(3/2); the
-    reported constant is the maximal ratio.  Planar trajectories (I
-    identically zero) are reported as vacuous.  Sample times where the
-    ratio exceeds 1e6 are flagged.
-    """
-    n = len(trajectory.times)
-    if n < 3:
-        raise InsufficientSamples(
-            f"need at least 3 samples for centered differences, got {n}")
-    t = trajectory.times
-    I_vals = trajectory.energy.I
-    if np.all(I_vals == 0.0):
-        return IBoundCheck(c_max=None, n_points=0, vacuous=True, flagged_times=[])
-    p = trajectory.table.params.p
-    dI = (I_vals[2:] - I_vals[:-2]) / (t[2:] - t[:-2])
-    I_mid = I_vals[1:-1]
-    rhs = (np.abs(trajectory.a0[1:-1]) ** (2 * p - 1) * np.abs(trajectory.b0[1:-1])
-           * I_mid + I_mid ** 1.5)
-    valid = rhs > 0.0
-    ratio = np.abs(dI[valid]) / rhs[valid]
-    # a zero right-hand side flags any change of I; a positive one, a ratio over the cap
-    flag = ~valid & (dI != 0.0)
-    flag[valid] = ratio > _RATIO_CAP
-    return IBoundCheck(c_max=float(ratio.max()) if ratio.size else None,
-                       n_points=int(ratio.size), vacuous=False,
-                       flagged_times=t[1:-1][flag].tolist())
-
-
-def phi_envelope_fit(trajectory: Trajectory, eta: float) -> dict:
-    """Fit the envelope |phi(t)| <= C min(1, t^2) along a run started on
-    the loop at (eta, 0); returns the fitted C and the phi series.
-
-    phi is the rescaled level drift, eta^5 phi = -2 (J - J(0)) - 2 (r - r(0)),
-    so that along exact trajectories b0^2 + f(a0) = f(eta) + eta^5 phi(t).
-    """
-    if len(trajectory.times) < 2:
-        raise InsufficientSamples("need at least 2 samples")
-    J, r = trajectory.energy.J, trajectory.energy.r
-    t0 = float(trajectory.times[0])
-    phis = (-2.0 * (J - J[0]) - 2.0 * (r - r[0])) / eta ** 5
-    rel_t = trajectory.times - t0
-    env = np.minimum(1.0, rel_t ** 2)
-    mask = env > 0.0
-    c_fit = float(np.max(np.abs(phis[mask]) / env[mask])) if mask.any() else 0.0
-    return {"C": c_fit, "times": rel_t, "phi": phis}

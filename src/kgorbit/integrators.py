@@ -146,6 +146,9 @@ class StepperConfig:
             raise ValueError("max_time must be positive")
         if not math.isfinite(self.max_time):
             raise ValueError("max_time must be finite")
+        if not isinstance(self.sample_stride, (int, np.integer)) \
+                or isinstance(self.sample_stride, bool):
+            raise ValueError(f"sample_stride must be an integer, got {self.sample_stride!r}")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

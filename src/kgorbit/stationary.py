@@ -386,37 +386,26 @@ def project_to_orbit(s: PlanarState, eta: float, band: DeltaBand,
     return PlanarState(pa, pb)
 
 
-def dist_to_orbit(s: State | list[State], eta: float, band: DeltaBand,
-                  table: SpectrumTable):
+def dist_to_orbit(s: State, eta: float, band: DeltaBand, table: SpectrumTable):
     """Energy-space distance from a full state to the planar loop.
 
     The constant-mode pair is projected onto the level set (by the rule of
     ``project_to_orbit``, once per call) and the ``xnorm`` distance to that
     embedded point returned.  Rows whose projection is undefined fall back
     to the minimum distance to 4096 embedded loop samples, built once per
-    call on demand.  ``s`` is one state (returns a float), a stack of
-    samples with ``a``/``b`` shaped (S, modes), or a list of such stacks,
-    the pages of a ``Trajectory`` (both return an (S,) array over all
-    rows in order): the one-state call is the one-row case.
+    call on demand.  ``s`` is one state (returns a float) or a stack of
+    samples with ``a``/``b`` shaped (S, modes) (returns an (S,) array), the
+    one-state call being the one-row case; a chain calls it once per page.
     """
     params = table.params
-    pages = [np.atleast_2d(p.a, p.b) for p in (s if isinstance(s, list) else [s])]
-    a0 = np.concatenate([a[:, 0] for a, _ in pages])
-    b0 = np.concatenate([b[:, 0] for _, b in pages])
-    pa, pb, defined = _project(a0, b0, eta, band, params)
-    value = np.empty(len(a0))
-    loop = None
-    start = 0
-    for a, b in pages:
-        rows = slice(start, start + len(a))
-        value[rows] = _xnorm_rows(a0[rows] - pa[rows], b0[rows] - pb[rows], a, b, table)
-        for r in np.flatnonzero(~defined[rows]):
-            if loop is None:
-                loop = sample_orbit(eta, 4096, params)
-            value[start + r] = np.min(_xnorm_rows(a[r, 0] - loop.a0, b[r, 0] - loop.b0,
-                                                  a[r:r + 1], b[r:r + 1], table))
-        start += len(a)
-    return value if isinstance(s, list) or s.a.ndim == 2 else float(value[0])
+    a, b = np.atleast_2d(s.a, s.b)
+    pa, pb, defined = _project(a[:, 0], b[:, 0], eta, band, params)
+    value = _xnorm_rows(a[:, 0] - pa, b[:, 0] - pb, a, b, table)
+    loop = None if defined.all() else sample_orbit(eta, 4096, params)
+    for r in np.flatnonzero(~defined):
+        value[r] = np.min(_xnorm_rows(a[r, 0] - loop.a0, b[r, 0] - loop.b0,
+                                      a[r:r + 1], b[r:r + 1], table))
+    return value if s.a.ndim == 2 else float(value[0])
 
 
 def check_mode_eigenvalues(lambda_n, params: ModelParams) -> None:
@@ -482,8 +471,11 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     forms in its four entries, so the call runs no ``numpy.linalg`` routine.
     Passing ``potential`` (a callable of t) replaces the loop-driven V,
     e.g. ``lambda t: 0.0`` for the constant-coefficient check.  Raises
-    OutOfRange, naming lambda and dt, when a monodromy overflows.
+    OutOfRange when dt is not finite and > 0, and, naming lambda and dt,
+    when a monodromy overflows.
     """
+    if not (math.isfinite(dt) and dt > 0):
+        raise OutOfRange(f"dt must be finite and > 0, got {dt!r}")
     check_mode_eigenvalues(lambda_n, params)
     scalar = np.ndim(lambda_n) == 0
     lambdas = [lambda_n] if scalar else list(lambda_n)

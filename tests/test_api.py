@@ -58,6 +58,29 @@ def test_export_lists_name_what_exists():
     assert checked
 
 
+def test_readme_dotted_names_resolve():
+    # every `a.b` the README cites under kgorbit, one of its modules or an
+    # exported class resolves, so the docs cannot name deleted code
+    import kgorbit
+    with open(README, encoding="utf-8") as fh:
+        cited = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", fh.read()))
+    roots = {name: obj for name, obj in vars(kgorbit).items() if inspect.isclass(obj)}
+    roots.update((m, importlib.import_module(f"kgorbit.{m}")) for m in MODULES + ("errors",))
+    roots["kgorbit"] = kgorbit
+    absent = object()
+    checked, missing = [], []
+    for name in sorted(cited):
+        head, *parts = name.split(".")
+        if head not in roots:
+            continue
+        obj = roots[head]
+        for part in parts:
+            obj = getattr(obj, part, absent)
+        (missing if obj is absent else checked).append(name)
+    assert missing == []
+    assert {"kgorbit.cli", "SpectrumTable.basis", "Trajectory.energy"} <= set(checked)
+
+
 def test_readme_quick_start_runs(capsys):
     with open(README, encoding="utf-8") as fh:
         text = fh.read()

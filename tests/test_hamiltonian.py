@@ -4,10 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kgorbit import (DimensionMismatch, ModelParams, NonFiniteState, State, StepperConfig,
-                     build_spectrum, coupling_remainder, dist_x, energy_breakdown, evolve,
-                     force, hamiltonian, high_mode_energy, phi_envelope_fit, potential_f,
-                     project_power, rhs, xnorm)
+from kgorbit import (DimensionMismatch, ModelParams, NonFiniteState, State, build_spectrum,
+                     coupling_remainder, dist_x, energy_breakdown, force, hamiltonian,
+                     high_mode_energy, potential_f, project_power, rhs, xnorm)
 from kgorbit.hamiltonian import i_j_equivalence_bound
 
 
@@ -247,18 +246,3 @@ class TestXNorm:
         assert [xnorm(State(a, b), table) for a, b in zip(stack.a, stack.b)] == norms.tolist()
         assert dist_x(stack, State(stack.a[2], stack.b[2]), table)[2] == 0.0
 
-
-class TestPhiDiagnostic:
-    @pytest.fixture(scope="class")
-    def planar_fit(self, table):
-        s0 = make_state(table, a0=0.1)
-        cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=5.0, sample_stride=500)
-        return phi_envelope_fit(evolve(s0, cfg, table), 0.1)
-
-    def test_zero_at_start(self, planar_fit):
-        assert planar_fit["times"][0] == 0.0 and planar_fit["phi"][0] == 0.0
-
-    def test_planar_runs_have_zero_phi(self, planar_fit):
-        # J and r are exactly zero on the invariant plane
-        assert len(planar_fit["phi"]) == 11
-        assert np.all(planar_fit["phi"] == 0.0) and planar_fit["C"] == 0.0

@@ -464,6 +464,15 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             evolve_ensemble([planar(table, 0.1)] * 2, cfgs, table)
 
+    @pytest.mark.parametrize("stride", [2.5, True, "2"])
+    def test_stride_must_be_an_integer(self, stride):
+        # 2.5 would fail inside evolve_ensemble's range, True run as stride 1
+        with pytest.raises(ValueError, match="sample_stride must be an integer"):
+            StepperConfig(sample_stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        assert StepperConfig(sample_stride=np.int64(10)).sample_stride == 10
+
     def test_samples_are_read_only(self, table):
         cfg = StepperConfig(dt=1e-2, max_time=0.5, sample_stride=10)
         traj = evolve(planar(table, 0.1), cfg, table)

@@ -431,24 +431,21 @@ class TestStackedDistance:
             assert dist_to_orbit(row, 0.1, band, table) == d[i]
         assert list(path).count("samples") == 1
 
-    def test_pages_equal_one_stack(self, table, params, rng, monkeypatch):
-        # a list of pages gives the rows of the joined stack bit for bit,
-        # with the fallback samples built once for the call
+    def test_fallback_samples_built_once_per_stack(self, table, params, rng, monkeypatch):
+        # rows 9 and 10 both fall back, and the loop samples are built
+        # once for the call
         band = default_band(params)
         s = self._stack(self.PLANAR + [(0.05, 0.3)], table, rng)
-        whole = dist_to_orbit(s, 0.1, band, table)
+        assert list(np.flatnonzero(~_project(s.a[:, 0], s.b[:, 0], 0.1, band, params)[2])) \
+            == [9, 10]
         built = []
 
         def counted(*args):
             built.append(args)
             return sample_orbit(*args)
         monkeypatch.setattr(stationary, "sample_orbit", counted)
-        pages = [State(s.a[i:j], s.b[i:j]) for i, j in ((0, 4), (4, 10), (10, 11))]
-        paged = dist_to_orbit(pages, 0.1, band, table)
-        assert np.array_equal(paged, whole) and len(built) == 1
-        # rows 9 and 10 sit in different pages and both fall back
-        assert list(np.flatnonzero(~_project(s.a[:, 0], s.b[:, 0], 0.1, band, params)[2])) \
-            == [9, 10]
+        d = dist_to_orbit(s, 0.1, band, table)
+        assert len(built) == 1 and d.shape == (11,) and np.all(d > 0)
 
     def test_rows_equal_xnorm_to_embedded_projection(self, table, params, rng):
         # one norm: each row's distance is xnorm of the row minus its
@@ -630,6 +627,13 @@ class TestFloquet:
     def test_requires_finite_lambda(self, params, lambdas):
         with pytest.raises(OutOfRange, match="finite"):
             floquet(sample_orbit(0.1, 64, params), lambdas, params)
+
+    @pytest.mark.parametrize("dt", [-1e-3, 0.0, math.inf, math.nan])
+    def test_requires_finite_positive_dt(self, params, dt):
+        # refused before stepping: -1e-3 and inf would run the 16-step
+        # minimum to a meaningless monodromy, 0 and nan would crash
+        with pytest.raises(OutOfRange, match="dt"):
+            floquet(Loop(0.1, period(0.1, params)), 2 * math.pi, params, dt=dt)
 
     def test_overflowing_monodromy_warns_nothing(self, params):
         # the finiteness check is the only report of an overflow
