@@ -50,8 +50,8 @@ from .errors import (KgError, AssumptionViolated, NonFiniteState, OutOfRange, Pa
 from .experiments import (EXPONENT_PASS_RANGE, PerturbationSpec, _check_seed, linear_fit,
                           period_scaling_sweep, perturb_near_orbit, power_law_fit,
                           run_first_returns, run_many_loops)
-from .hamiltonian import high_mode_energy
-from .integrators import StepperConfig, _energy_blocks, _joined_energy, evolve_ensemble
+from .hamiltonian import energy_breakdown, high_mode_energy
+from .integrators import StepperConfig, evolve_ensemble
 from .spectra import ModelParams, build_spectrum, check_mass_gap
 from .stationary import (Loop, check_eta, check_mode_eigenvalues, delta_band,
                          default_band, floquet, period)
@@ -239,8 +239,9 @@ def _validate(values: dict, lines: dict[tuple[str, str], int]) -> RunConfig:
             check_mode_eigenvalues(experiment.lambdas, params)
         except OutOfRange as exc:
             raise ValidationError(str(exc)) from exc
-    if experiment.distribution == "random_direction" \
-            and experiment.seed is None and not experiment.seeds:
+    # only a first-return sweep reads 'seeds'
+    if experiment.distribution == "random_direction" and experiment.seed is None \
+            and not (kind == "first-return" and experiment.seeds):
         raise ValidationError(
             "random_direction perturbations require an explicit seed "
             "(reproducibility is a contract, there is no default)")
@@ -357,39 +358,37 @@ def _initial_state(cfg: RunConfig, table, eta: float, seed=None):
 def _evolve_with_drift(cfg: RunConfig, table):
     """Evolve the start of ``simulate`` and ``energy-check``, the turning
     point itself unless amplitude or modes are set.  Each page of samples
-    is read as the time loop closes it, into its a0 and b0 columns and its
-    energy diagnostics (in the blocks of ``Trajectory.energy``), and then
-    dropped.  Returns the sample times, a0, b0, the energy diagnostics,
-    the H - H(0) series and that series' least-squares slope."""
+    is read as the time loop closes it, into its times, its a0 and b0
+    columns and the H, J, I and r of its ``energy_breakdown``, and then
+    dropped.  Returns those seven series by their CSV names, the
+    H - H(0) series and that series' least-squares slope."""
     ex = cfg.experiment
     if ex.amplitude is None and ex.modes is None:
         s0 = perturb_near_orbit(ex.eta, PerturbationSpec(amplitude=0.0, mode_set=()), table)
     else:
         s0 = _initial_state(cfg, table, ex.eta)
-    a0, b0, blocks = [], [], []
+    pages = []
 
     def read(page):
-        a0.append(page.a[:, 0].copy())
-        b0.append(page.b[:, 0].copy())
-        blocks.extend(_energy_blocks(page, table))
+        e = energy_breakdown(page, table)
+        pages.append((page.t, page.a[:, 0].copy(), page.b[:, 0].copy(), e.H, e.J, e.I, e.r))
 
     traj = evolve_ensemble([s0], [cfg.stepper], table, read=read)[0]
     if isinstance(traj, NonFiniteState):
         raise traj
-    energy = _joined_energy(blocks)
-    dh = energy.H - energy.H[0]
-    return (traj.times, np.concatenate(a0), np.concatenate(b0), energy, dh,
-            linear_fit(traj.times, dh)["slope"])
+    series = {name: np.concatenate(column)
+              for name, column in zip(("t", "a0", "b0", "H", "J", "I", "r"), zip(*pages))}
+    dh = series["H"] - series["H"][0]
+    return series, dh, linear_fit(series["t"], dh)["slope"]
 
 
 def _run_simulate(cfg: RunConfig, table, out: dict):
     eta = cfg.experiment.eta
-    times, a0, b0, energy, _, drift = _evolve_with_drift(cfg, table)
-    out["csv"] = (["t", "a0", "b0", "H", "J", "I", "r"],
-                  _rows(times, a0, b0, energy.H, energy.J, energy.I, energy.r))
+    series, _, drift = _evolve_with_drift(cfg, table)
+    out["csv"] = (list(series), _rows(*series.values()))
     out["json"] = {
         "experiment": "simulate", "eta": eta, "H_drift": drift,
-        "max_J": float(energy.J.max()), "final_time": float(times[-1]),
+        "max_J": float(series["J"].max()), "final_time": float(series["t"][-1]),
         "anomaly": False,
     }
     return 0
@@ -495,9 +494,9 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
 
 def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
-    times, _, _, _, dh, drift = _evolve_with_drift(cfg, table)
+    series, dh, drift = _evolve_with_drift(cfg, table)
     anomaly = abs(drift) > ex.drift_tol
-    out["csv"] = (["t", "H_minus_H0"], _rows(times, dh))
+    out["csv"] = (["t", "H_minus_H0"], _rows(series["t"], dh))
     out["json"] = {
         "experiment": "energy-check", "eta": ex.eta,
         "drift_slope": drift, "drift_tol": ex.drift_tol,

@@ -46,7 +46,8 @@ class EmptyModeSet(KgError):
 
 
 class InsufficientSamples(KgError):
-    """A ``Trajectory`` whose pages went to a reader was asked for its samples."""
+    """A ``Trajectory`` whose pages went to a reader was asked for its samples
+    or their times."""
 
 
 class ValidationError(KgError):

@@ -85,7 +85,6 @@ class FirstReturnResult:
     state: State
     distance: float
     J_at_return: float
-    section: SectionSpec
     trajectory: Trajectory
 
 
@@ -227,12 +226,12 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
     keeps them only where the reader is None.
     """
     params = table.params
-    sections = [_return_section(s0, band, params) for s0 in states]
-    cfgs = [replace(cfg, max_time=10.0 * period(eta, params), section=section)
-            for eta, section in zip(etas, sections)]
+    cfgs = [replace(cfg, max_time=10.0 * period(eta, params),
+                    section=_return_section(s0, band, params))
+            for s0, eta in zip(states, etas)]
     runs = evolve_ensemble(states, cfgs, table, max_events=1, read=read)
     results: list[FirstReturnResult | NoReturn | NonFiniteState] = []
-    for s0, eta, section, run_cfg, traj in zip(states, etas, sections, cfgs, runs):
+    for s0, eta, run_cfg, traj in zip(states, etas, cfgs, runs):
         if isinstance(traj, NonFiniteState):
             results.append(traj)
         elif not traj.events:
@@ -245,7 +244,6 @@ def run_first_returns(states, etas, band: DeltaBand, cfg: StepperConfig,
                 state=state_ev,
                 distance=dist_x(state_ev, s0, table),
                 J_at_return=high_mode_energy(state_ev, table),
-                section=section,
                 trajectory=traj,
             ))
     return results
@@ -270,11 +268,11 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     with a flag, if J exceeds eta^5 at any sample or a return is not
     found; a loop that turns non-finite raises NonFiniteState.  Distances
     to the original loop are measured at every sample time.  Each loop
-    reads its samples page by page as the time loop closes them: J by
-    ``high_mode_energy`` with no grid work, the largest ``dist_to_orbit``
-    and the largest |a0|.  The page is then dropped, so the run holds
-    one page of samples at a time, and keeps only the times and J of
-    every sample.
+    reads its samples page by page as the time loop closes them: their
+    times, J by ``high_mode_energy`` with no grid work, the largest
+    ``dist_to_orbit`` and the largest |a0|.  The page is then dropped, so
+    the run holds one page of samples at a time, and keeps only the times
+    and J of every sample.
     """
     j_ceiling = eta ** 5
     current = s0
@@ -288,11 +286,11 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
     prev_J = high_mode_energy(s0, table)
     regime_exited_at = None
 
-    loop_pages: list[tuple[np.ndarray, float, float]] = []
+    loop_pages: list[tuple[np.ndarray, np.ndarray, float, float]] = []
 
     def read(page: State) -> None:
-        # J, the largest distance and the largest |a0| of one page of a loop
-        loop_pages.append((high_mode_energy(page, table),
+        # the times, J, the largest distance and the largest |a0| of one page of a loop
+        loop_pages.append((page.t, high_mode_energy(page, table),
                            float(dist_to_orbit(page, eta, band, table).max()),
                            float(np.abs(page.a[:, 0]).max())))
 
@@ -304,16 +302,14 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
             break
         if isinstance(res, NonFiniteState):
             raise res
-        traj = res.trajectory
-        j_pages, page_dists, page_a0s = zip(*loop_pages)
-        j_vals = np.concatenate(j_pages)
+        t_pages, j_pages, page_dists, page_a0s = zip(*loop_pages)
+        t_vals, j_vals = np.concatenate(t_pages), np.concatenate(j_pages)
         max_dist = max(max_dist, *page_dists)
         max_abs_a0 = max(max_abs_a0, *page_a0s)
         # the post-event sample of a loop sits just past the refined event
         # time where the next loop starts; keep the merged series monotone
-        keep = traj.times > times_all[-1][-1] if times_all else \
-            np.ones(len(traj.times), dtype=bool)
-        times_all.append(traj.times[keep])
+        keep = t_vals > times_all[-1][-1] if times_all else np.ones(len(t_vals), dtype=bool)
+        times_all.append(t_vals[keep])
         j_all.append(j_vals[keep])
         loop_max_j = float(j_vals.max())
         d_ret = dist_to_orbit(res.state, eta, band, table)
@@ -322,7 +318,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
             index=k, eta_used=current_eta, return_time=res.return_time,
             return_distance=res.distance, J_at_return=res.J_at_return,
             dist_to_orbit=d_ret, max_J=loop_max_j,
-            rejected_crossings=dict(traj.rejected),
+            rejected_crossings=dict(res.trajectory.rejected),
         ))
         if prev_J > 0.0:
             growth.append(res.J_at_return / prev_J)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState
-from .spectra import (ModelParams, SpectrumTable, _analysis, _grid_power,
+from .spectra import (_CHUNK_VALUES, ModelParams, SpectrumTable, _analysis, _grid_power,
                       _project_power_raw, _synthesis)
 
 __all__ = [
@@ -48,11 +48,15 @@ __all__ = [
 
 @dataclass
 class State:
-    """Mode coefficients of (u, du/dt), plus a bookkeeping time."""
+    """Mode coefficients of (u, du/dt), plus a bookkeeping time.
+
+    A stack of samples, ``a`` and ``b`` shaped (S, modes), may carry one
+    time per row in ``t``, an (S,) array: the pages of a run do.
+    """
 
     a: np.ndarray
     b: np.ndarray
-    t: float = 0.0
+    t: float | np.ndarray = 0.0
 
     def copy(self) -> "State":
         return State(self.a.copy(), self.b.copy(), self.t)
@@ -149,14 +153,34 @@ def high_mode_energy(s: State, table: SpectrumTable):
     return J if stacked else float(J)
 
 
+def _energy_rows(table: SpectrumTable) -> int:
+    """Rows of one block of ``energy_breakdown``, which keeps about twice
+    the kernel's grid-sized temporaries alive: half the kernel's rows."""
+    return max(1, _CHUNK_VALUES // (2 * table.n_nodes))
+
+
 def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     """All energy diagnostics of a state, each from its own definition.
 
     ``s`` may also hold a stack of samples, a and b shaped (S, modes);
-    every field is then an array of S values that owns its data.  J comes
-    from ``high_mode_energy``, and the grid is synthesised once, for H and
-    r; the coupling remainder is ``coupling_remainder``.
+    every field is then an array of S values that owns its data.  A stack
+    is cut into blocks of ``_energy_rows`` rows before any work, so no
+    temporary spans the whole stack; in 1D the bits of r depend on that
+    block size.  J comes from ``high_mode_energy``, and the grid is
+    synthesised once per block, for H and r; the coupling remainder is
+    ``coupling_remainder``.
     """
+    if s.a.ndim == 2 and s.b.shape == s.a.shape:     # blocks validate themselves
+        rows = _energy_rows(table)
+        blocks = [_energy_fields(State(s.a[i:i + rows], s.b[i:i + rows]), table)
+                  for i in range(0, len(s.a) or 1, rows)]
+        return EnergyBreakdown(**{k: np.concatenate([block[k] for block in blocks])
+                                  for k in blocks[0]})
+    return EnergyBreakdown(**{k: float(v) for k, v in _energy_fields(s, table).items()})
+
+
+def _energy_fields(s: State, table: SpectrumTable) -> dict:
+    """The fields of ``energy_breakdown`` of one state or one block."""
     J = high_mode_energy(s, table)      # validates s
     params = table.params
     p = params.p
@@ -165,9 +189,7 @@ def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
     H, mean_pow = _energy(s, _synthesis(s.a, table), table)
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
     shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * np.sum(s.a[..., 1:] ** 2, axis=-1)
-    values = dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift, f_a0=potential_f(a0, params))
-    convert = np.asarray if s.a.ndim == 2 else float
-    return EnergyBreakdown(**{k: convert(v) for k, v in values.items()})
+    return dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift, f_a0=potential_f(a0, params))
 
 
 def coupling_remainder(s: State, table: SpectrumTable) -> np.ndarray:

@@ -53,16 +53,17 @@ step order, so a member stops at the same step, with the same samples
 and events, as a loop that tests after every step.  Samples, events and
 the states handed to refinement are copies: no result shares memory
 with the stack or with a stage's buffers.  A member's samples are
-copied from the stack into pages that the member owns, each a
-(2, rows, modes) array holding whole blocks of ``Trajectory.energy``,
+copied from the stack into pages that the member owns: States whose a
+and b are one (2, rows, modes) array and whose t is the (rows,) array
+of the sample times, holding whole blocks of ``energy_breakdown``,
 about 2^15 values of a per full page.  A page is closed when it is full
 or the member stops, and then handed to the member's reader; a page
 never holds more rows than the member can still sample before its
 horizon, and the last page of a member that stops early is trimmed to
 its rows.  The default reader keeps the pages on the returned
 ``Trajectory``, the one copy of the samples, which joins them only when
-``a`` or ``b`` is read; a run given its own reader holds one page per
-member at a time.
+``times``, ``a`` or ``b`` is read; a run given its own reader holds one
+page per member at a time.
 A member that stops inside a block is stepped on to the block's end
 and then leaves the stack: up to 63 wasted steps per stop, and a stack
 whose row count changes at block ends rather than at each stop, which
@@ -77,14 +78,13 @@ refinement rejects are counted per member, by reason.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSamples, NoCrossing, NonFiniteState
-from .hamiltonian import EnergyBreakdown, State, energy_breakdown, validate_state
+from .hamiltonian import State, _energy_rows, validate_state
 from .spectra import _CHUNK_VALUES, SpectrumTable, _kernel_work, _project_power_raw
 
 __all__ = [
@@ -153,13 +153,6 @@ class StepperConfig:
             raise ValueError("sample_stride must be >= 1")
 
 
-def _energy_rows(table: SpectrumTable) -> int:
-    """Rows of one ``energy_breakdown`` block of ``Trajectory.energy``.
-    ``energy_breakdown`` keeps about twice the kernel's grid-sized
-    temporaries alive, so a block holds half the kernel's rows."""
-    return max(1, _CHUNK_VALUES // (2 * table.n_nodes))
-
-
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
     """One read-only array of ``parts`` along the first axis: the part
     itself when there is one, else a new array."""
@@ -170,44 +163,32 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _energy_blocks(page: State, table: SpectrumTable) -> list[EnergyBreakdown]:
-    """Energy diagnostics of the samples of one page, in blocks of
-    ``_energy_rows`` rows."""
-    rows = _energy_rows(table)
-    return [energy_breakdown(State(page.a[i:i + rows], page.b[i:i + rows]), table)
-            for i in range(0, len(page.a), rows)]
-
-
-def _joined_energy(blocks: list[EnergyBreakdown]) -> EnergyBreakdown:
-    """One EnergyBreakdown of read-only (S,) fields from ``blocks`` in order."""
-    return EnergyBreakdown(**{f.name: _joined([getattr(block, f.name) for block in blocks])
-                              for f in fields(EnergyBreakdown)})
-
-
 @dataclass
 class Trajectory:
     """Sampled run of one member.
 
-    ``times`` (S,) holds the sample times and ``pages`` the samples'
-    coefficients, once: States whose ``a`` and ``b`` are (rows, modes)
-    stacks, read-only, in time order, each ``t`` the time of its first
-    row.  ``a`` and ``b`` join the pages into (S, modes) arrays on every
-    read, a new array unless there is one page; ``a0`` and ``b0`` join
-    only the constant-mode columns.  ``events`` holds the refined section
+    ``pages`` holds the samples, once: States whose ``a`` and ``b`` are
+    (rows, modes) stacks and whose ``t`` is the (rows,) array of their
+    times, read-only, in time order.  ``times``, ``a`` and ``b`` join the
+    pages into (S,) and (S, modes) arrays on every read, a new array
+    unless there is one page; ``a0`` and ``b0`` join only the
+    constant-mode columns.  ``events`` holds the refined section
     crossings as (time, State) pairs and ``rejected`` the crossings
     refinement turned down, by NoCrossing reason.  The energy diagnostics
-    of all samples are computed on first use, page by page.
+    of the samples are ``energy_breakdown(State(traj.a, traj.b), table)``.
     A run given a reader (see ``evolve_ensemble``) handed its pages to
     that reader as they closed and keeps none: ``pages`` is empty, and
-    reading ``a``, ``b``, ``a0``, ``b0`` or ``energy`` raises
+    reading ``times``, ``a``, ``b``, ``a0`` or ``b0`` raises
     InsufficientSamples.
     """
 
-    times: np.ndarray
     pages: list[State]
     events: list[tuple[float, State]]
     rejected: dict[str, int]
-    table: SpectrumTable = field(repr=False)
+
+    @property
+    def times(self) -> np.ndarray:
+        return _joined([p.t for p in self.pages])
 
     @property
     def a(self) -> np.ndarray:
@@ -224,13 +205,6 @@ class Trajectory:
     @property
     def b0(self) -> np.ndarray:
         return _joined([p.b[:, 0] for p in self.pages])
-
-    @functools.cached_property
-    def energy(self) -> EnergyBreakdown:
-        """Energy diagnostics of every sample; each field is an (S,) array.
-        Each page is cut into blocks of ``_energy_rows`` rows."""
-        return _joined_energy([block for p in self.pages
-                               for block in _energy_blocks(p, self.table)])
 
 
 class _LinearFlow:
@@ -459,29 +433,29 @@ class _Member:
     rejected crossings, or the error that stopped it.
 
     Samples are copied straight from the block stack into pages, each
-    one (2, rows, modes) array of a and b rows; a full page holds
-    ``page_rows`` rows, and no page holds more rows than the member can
-    still sample before its horizon.  The member's first page starts at
-    the size of its first write and doubles until full; a page opened
-    after a full one starts full, or at the rows left.  A page is closed
-    when it is full or the member stops, trimmed to its rows, and handed
-    to ``read``, by default the append of the member's own list of
-    pages."""
+    one (2, rows, modes) array of a and b rows beside a (rows,) array of
+    their times; a full page holds ``page_rows`` rows, and no page holds
+    more rows than the member can still sample before its horizon.  The
+    member's first page starts at the size of its first write and
+    doubles until full; a page opened after a full one starts full, or
+    at the rows left.  A page is closed when it is full or the member
+    stops, trimmed to its rows, and handed to ``read``, by default the
+    append of the member's own list of pages."""
 
     def __init__(self, s0: State, cfg: StepperConfig, limit: int | None, page_rows: int,
                  read):
         self.t0 = s0.t
         self.section = cfg.section
         self.horizon = max(1, int(round(cfg.max_time / cfg.dt)))
-        # samples of a run to the horizon: step 0, every stride-th step, the horizon
-        self.capacity = 1 + -(-self.horizon // cfg.sample_stride)
+        # rows the member can still sample: step 0, every stride-th step, the horizon
+        self.left = 1 + -(-self.horizon // cfg.sample_stride)
         self.limit = limit
         self.modes = len(s0.a)
         self.page_rows = page_rows
-        self.times: list[float] = []
         self.pages: list[State] = []
         self.read = self.pages.append if read is None else read
         self.page = np.empty((2, 0, self.modes))    # the page being written
+        self.page_t = np.empty(0)                    # and its times
         self.used = 0                                # its rows written so far
         self.events: list[tuple[float, State]] = []
         self.rejected = {"sign_constraint": 0, "stalled": 0, "no_sign_change": 0}
@@ -489,33 +463,36 @@ class _Member:
 
     def close(self) -> None:
         """Hand the page being written, trimmed to its rows, to the reader."""
-        page = self.page if self.used == self.page.shape[1] else self.page[:, :self.used].copy()
-        page.flags.writeable = False
-        start = len(self.times) - self.used
-        self.page, self.used = None, 0
-        self.read(State(page[0], page[1], self.times[start]))
+        page, t = self.page, self.page_t
+        if self.used < len(t):
+            page, t = page[:, :self.used].copy(), t[:self.used].copy()
+        page.flags.writeable = t.flags.writeable = False
+        self.page = self.page_t = None
+        self.used = 0
+        self.read(State(page[0], page[1], t))
 
     def _room(self, wanted: int) -> None:
         """Make room for at least one more row in the page being written,
         ``wanted`` rows if the page grows."""
-        rows = self.page.shape[1]
+        rows = len(self.page_t)
         if self.used < rows:
             return
-        left = self.capacity - len(self.times)       # rows the member can still sample
         if rows == self.page_rows:
             self.close()
-            self.page = np.empty((2, min(self.page_rows, left), self.modes))
+            rows = min(self.page_rows, self.left)
+            self.page, self.page_t = np.empty((2, rows, self.modes)), np.empty(rows)
             return
-        grown = np.empty((2, min(self.page_rows, rows + left, max(2 * rows, wanted)), self.modes))
-        grown[:, :rows] = self.page
-        self.page = grown
+        grown = min(self.page_rows, rows + self.left, max(2 * rows, wanted))
+        page, t = self.page, self.page_t
+        self.page, self.page_t = np.empty((2, grown, self.modes)), np.empty(grown)
+        self.page[:, :rows], self.page_t[:rows] = page, t
 
     def sample(self, times: list[float], states: np.ndarray, rows: list[int],
                checked: bool) -> None:
         """Record samples, rows ``rows`` of the member's (steps, 2, modes)
-        phase-space states in time order, up to the first one that is not
-        finite, which stops the member and drops the pages it kept.  A
-        reader is only handed pages of finite rows."""
+        phase-space states at the times ``times``, in time order, up to the
+        first one that is not finite, which stops the member and drops the
+        pages it kept.  A reader is only handed pages of finite rows."""
         done = 0
         while done < len(rows):
             self._room(len(rows) - done)
@@ -528,19 +505,17 @@ class _Member:
                     bad = done + int(finite.argmin())
                     self.error = NonFiniteState(f"non-finite coefficients at t = {times[bad]}")
                     self.pages.clear()
-                    self.page = None
+                    self.page = self.page_t = None
                     return
+            self.page_t[self.used:self.used + n] = times[done:done + n]
             self.used += n
-            self.times.extend(times[done:done + n])
+            self.left -= n
             done += n
 
-    def result(self, table: SpectrumTable) -> Trajectory | NonFiniteState:
+    def result(self) -> Trajectory | NonFiniteState:
         if self.error is not None:
             return self.error
-        times = np.array(self.times)
-        times.flags.writeable = False
-        return Trajectory(times, self.pages, events=self.events, rejected=self.rejected,
-                          table=table)
+        return Trajectory(self.pages, events=self.events, rejected=self.rejected)
 
 
 def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
@@ -560,13 +535,13 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
 
     ``read`` is one callable for every member or a sequence with one per
     member, None keeping that member's samples.  A member's samples go
-    into pages, States of (rows, modes) stacks in time order, and each
-    page is handed to the member's reader as soon as it is closed: when
-    it is full (about 2^15 values of a) or the member stops.  A reader
-    that keeps nothing leaves the run holding one page per member; its
-    member's Trajectory has ``pages == []``.  Without a reader the pages
-    stay on the Trajectory.  A member that turns non-finite hands no
-    page with a non-finite row to its reader.
+    into pages, States of (rows, modes) stacks with their (rows,) times,
+    in time order, and each page is handed to the member's reader as soon
+    as it is closed: when it is full (about 2^15 values of a) or the
+    member stops.  A reader that keeps nothing leaves the run holding one
+    page per member; its member's Trajectory has ``pages == []``.
+    Without a reader the pages stay on the Trajectory.  A member that
+    turns non-finite hands no page with a non-finite row to its reader.
     """
     if len(states) != len(cfgs):
         raise ValueError(f"{len(states)} states but {len(cfgs)} configs")
@@ -582,8 +557,8 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
         return []
     for s in states:
         validate_state(s, table)
-    # a full page holds about _CHUNK_VALUES values of a, in whole energy
-    # blocks, so Trajectory.energy blocks the samples as one array would
+    # a full page holds about _CHUNK_VALUES values of a, in whole blocks of
+    # energy_breakdown, so it blocks a page's samples as it blocks them joined
     rows = _energy_rows(table)
     page_rows = rows * max(1, _CHUNK_VALUES // (table.mode_count * rows))
     members = [_Member(s, c, limit, page_rows, r)
@@ -679,7 +654,7 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
                 if kick is not None:
                     kick = kick[keep]
 
-    return [m.result(table) for m in members]
+    return [m.result() for m in members]
 
 
 def evolve(s0: State, cfg: StepperConfig, table: SpectrumTable,

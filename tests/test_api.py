@@ -58,6 +58,40 @@ def test_export_lists_name_what_exists():
     assert checked
 
 
+# Every private name one kgorbit module imports from another: a new
+# coupling through a private name has to be added here by name.
+PRIVATE_IMPORTS = {
+    ("cli", "experiments", "_check_seed"),
+    ("hamiltonian", "spectra", "_CHUNK_VALUES"),
+    ("hamiltonian", "spectra", "_analysis"),
+    ("hamiltonian", "spectra", "_grid_power"),
+    ("hamiltonian", "spectra", "_project_power_raw"),
+    ("hamiltonian", "spectra", "_synthesis"),
+    ("integrators", "hamiltonian", "_energy_rows"),
+    ("integrators", "spectra", "_CHUNK_VALUES"),
+    ("integrators", "spectra", "_kernel_work"),
+    ("integrators", "spectra", "_project_power_raw"),
+    ("stationary", "hamiltonian", "_bound_force"),
+    ("stationary", "hamiltonian", "_xnorm_rows"),
+}
+
+
+def test_private_imports_are_listed():
+    import kgorbit
+    package = os.path.dirname(os.path.abspath(kgorbit.__file__))
+    found = set()
+    for entry in sorted(os.listdir(package)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(package, entry), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update((entry[:-3], node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    assert found == PRIVATE_IMPORTS
+
+
 def test_readme_dotted_names_resolve():
     # every `a.b` the README cites under kgorbit, one of its modules or an
     # exported class resolves, so the docs cannot name deleted code
@@ -78,7 +112,7 @@ def test_readme_dotted_names_resolve():
             obj = getattr(obj, part, absent)
         (missing if obj is absent else checked).append(name)
     assert missing == []
-    assert {"kgorbit.cli", "SpectrumTable.basis", "Trajectory.energy"} <= set(checked)
+    assert {"kgorbit.cli", "SpectrumTable.basis", "Trajectory.times"} <= set(checked)
 
 
 def test_readme_quick_start_runs(capsys):

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kgorbit import (ParseError, ValidationError, build_spectrum, evolve_ensemble,
-                     parse_config, run, serialize_config)
+from kgorbit import (ParseError, State, ValidationError, build_spectrum, energy_breakdown,
+                     evolve_ensemble, parse_config, run, serialize_config)
 from kgorbit.cli import _initial_state, _write_csv, main
 from kgorbit.stationary import floquet, sample_orbit
 
@@ -190,6 +190,17 @@ class TestParse:
             parse_config(bad)
         assert "seed" in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["stability", "simulate", "energy-check"])
+    def test_seeds_stand_in_for_seed_only_in_first_return(self, kind):
+        # only a first-return sweep reads 'seeds'; elsewhere a random
+        # direction still needs 'seed', refused when the config is parsed
+        bad = MINIMAL.replace("kind = simulate",
+                              f"kind = {kind}\ndistribution = random_direction\nseeds = 1,2")
+        with pytest.raises(ValidationError, match="explicit seed"):
+            parse_config(bad)
+        ok = bad.replace(f"kind = {kind}", "kind = first-return")
+        assert parse_config(ok).experiment.seeds == (1, 2)
+
     def test_eta_range_checked(self):
         for eta in ("0.7", "0", "-0.1"):
             with pytest.raises(ValidationError, match="must lie in"):
@@ -249,11 +260,11 @@ class TestRun:
             "eta = 0.1", "eta = 0.1\namplitude = 1e-3\nmodes = 1,2,3"))
         cfg.output_dir = str(tmp_path)
         assert run(cfg) in (0, 2)
-        assert len(runs) == 1 and runs[0].pages == [] and len(runs[0].times) == 6001
+        assert len(runs) == 1 and runs[0].pages == []
         table = build_spectrum(cfg.model)
         kept = evolve(_initial_state(cfg, table, 0.1), cfg.stepper, table)
-        assert len(kept.pages) == 3
-        e = kept.energy
+        assert len(kept.pages) == 3 and len(kept.times) == 6001
+        e = energy_breakdown(State(kept.a, kept.b), table)
         if kind == "simulate":
             header = ["t", "a0", "b0", "H", "J", "I", "r"]
             columns = (kept.times, kept.a0, kept.b0, e.H, e.J, e.I, e.r)
@@ -439,7 +450,7 @@ class TestFirstReturnSweep:
         cfg.output_dir = str(tmp_path)
         assert run(cfg) in (0, 2)
         assert len(results) == 8
-        assert all(r.trajectory.pages == [] and len(r.trajectory.times) > 1 for r in results)
+        assert all(r.trajectory.pages == [] and len(r.trajectory.events) == 1 for r in results)
 
     def test_rerun_gives_identical_files(self, tmp_path):
         cfg_path = tmp_path / "sweep.cfg"
@@ -652,7 +663,7 @@ class TestMain:
             assert not out.exists()
         # a config that sets 'seeds' would ignore --seed: refused, not run
         capsys.readouterr()
-        cfg_path.write_text(text.replace("seed = 1", "seeds = 1,2"))
+        cfg_path.write_text(text.replace("seed = 1", "seed = 1\nseeds = 1,2"))
         out = tmp_path / "o4"
         assert main(["--config", str(cfg_path), "--output", str(out),
                      "--seed", "99"]) == 1

@@ -38,17 +38,17 @@ class IBound:
     flagged_times: list[float]
 
 
-def loop_bound_check_I(trajectory):
+def loop_bound_check_I(trajectory, table):
     """The largest ratio |dI/dt| / (a0^(2p-1) |da0/dt| I + I^(3/2)) over
     the interior samples of a kept run, dI/dt by centered differences,
     one Python step per sample.  Planar runs (I identically zero) are
     vacuous; samples whose ratio exceeds RATIO_CAP, or whose bound is zero
     while I changes, are flagged."""
     t = trajectory.times
-    I_vals = trajectory.energy.I
+    I_vals = energy_breakdown(State(trajectory.a, trajectory.b), table).I
     if np.all(I_vals == 0.0):
         return IBound(c_max=None, n_points=0, vacuous=True, flagged_times=[])
-    p = trajectory.table.params.p
+    p = table.params.p
     a0, b0 = trajectory.a0, trajectory.b0
     c_max = 0.0
     n_pts = 0
@@ -301,7 +301,7 @@ class TestManyLoops:
         peak(16)                     # first calls fill caches outside the chain
         (dense, dense_peak), (sparse, sparse_peak) = peak(1), peak(16)
         assert len(dense.J_series[0]) > 16000 and len(sparse.J_series[0]) > 1000
-        assert dense_peak <= 2 * sparse_peak
+        assert dense_peak <= 1.4 * sparse_peak
 
     def test_loop_records_count_rejected_crossings(self, table8, params8, cfg,
                                                    monkeypatch):
@@ -396,7 +396,7 @@ class TestDiagnostics:
         band = default_band(params8)
         res = run_first_returns([base_state(table8, eta)], [eta], band, cfg,
                                 table8)[0]
-        chk = loop_bound_check_I(res.trajectory)
+        chk = loop_bound_check_I(res.trajectory, table8)
         assert chk.vacuous and chk.c_max is None
 
     def test_bound_check_stable_under_refinement(self, table8, params8):
@@ -410,7 +410,7 @@ class TestDiagnostics:
                                 sample_stride=stride)
             s0 = perturb_near_orbit(eta, spec, table8)
             res = run_first_returns([s0], [eta], band, cfg, table8)[0]
-            return loop_bound_check_I(res.trajectory).c_max
+            return loop_bound_check_I(res.trajectory, table8).c_max
 
         c1, c2 = c_for(40), c_for(20)
         assert c1 is not None and c2 is not None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -163,6 +164,32 @@ class TestEnergyBreakdown:
         for f in fields(bd):
             value = getattr(bd, f.name)
             assert value.shape == (5,) and value.base is None, f.name
+
+    def test_stack_is_cut_into_blocks(self, rng):
+        # a 420-row 3D K=4 stack in blocks of 3 rows: its fields are the
+        # blocks' fields joined, bit for bit, and no temporary spans the
+        # stack (whole-stack grids took 31.5 MiB)
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=3, cutoff=4,
+                                           periods=(1.0, 1.0, 1.0)))
+        rows = 3        # 2^15 grid values per block, two temporaries of 17^3 nodes
+        stack = State(1e-2 * rng.standard_normal((420, table.mode_count)),
+                      1e-2 * rng.standard_normal((420, table.mode_count)))
+        blocks = [energy_breakdown(State(stack.a[i:i + rows], stack.b[i:i + rows]), table)
+                  for i in range(0, 420, rows)]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            whole = energy_breakdown(stack, table)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        for f in fields(whole):
+            joined = np.concatenate([getattr(block, f.name) for block in blocks])
+            assert np.array_equal(getattr(whole, f.name), joined), f.name
+        assert peak < 2 ** 20, peak
 
     def test_equivalence_bound_holds(self, table, rng):
         for _ in range(10):

@@ -1,13 +1,14 @@
+import importlib
 import math
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from kgorbit import (EnergyBreakdown, InsufficientSamples, NoCrossing, NonFiniteState,
-                     SectionSpec, State, StepperConfig, Trajectory, dist_x, evolve,
+                     SectionSpec, State, StepperConfig, dist_x, energy_breakdown, evolve,
                      evolve_ensemble, homoclinic, period, refine_crossing, rk4_step,
                      split2_step)
 from kgorbit.integrators import _BLOCK_STEPS, _LinearFlow, _stage
@@ -243,7 +244,7 @@ class TestEvolve:
         s0 = perturb_near_orbit(0.1, spec, table8)
         cfg = StepperConfig(dt=1e-3, scheme="split2", max_time=100.0, sample_stride=100)
         traj = evolve(s0, cfg, table8)
-        h = traj.energy.H
+        h = energy_breakdown(State(traj.a, traj.b), table8).H
         slope = linear_fit(traj.times, h - h[0])["slope"]
         assert abs(slope) < 1e-10
 
@@ -267,7 +268,8 @@ class TestEvolve:
         assert np.all(np.diff(traj.times) > 0)
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.0)
-        assert len(traj.energy.H) == len(traj.a) == len(traj.times)
+        assert len(energy_breakdown(State(traj.a, traj.b), table).H) == len(traj.a) \
+            == len(traj.times)
 
     def test_square_torus_dynamics(self):
         # the tensor-grid path: planar exactness, bounded energy error and
@@ -284,7 +286,7 @@ class TestEvolve:
 
         a[3], b[5] = 1e-3, 1e-3
         traj = evolve(State(a.copy(), b.copy()), cfg, t2)
-        h = traj.energy.H
+        h = energy_breakdown(State(traj.a, traj.b), t2).H
         assert np.abs(h - h[0]).max() < 1e-8
 
         rng = np.random.default_rng(3)
@@ -479,7 +481,7 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             traj.a[0, 0] = 1.0
         with pytest.raises(ValueError):
-            traj.energy.H[0] = 1.0
+            traj.times[0] = 1.0
 
 
 class TestForceReuse:
@@ -884,8 +886,10 @@ class TestPages:
         # 1024 values per chunk: 1D K=4 (9 modes, 17 nodes) energy blocks
         # of 30 rows and pages of 3 blocks, 90 rows; blocks keep 64 steps
         from kgorbit import integrators
+        hamiltonian = importlib.import_module("kgorbit.hamiltonian")  # not the function
         monkeypatch.setattr(integrators, "_CHUNK_VALUES", 1024)
-        assert integrators._energy_rows(table) == 30
+        monkeypatch.setattr(hamiltonian, "_CHUNK_VALUES", 1024)
+        assert hamiltonian._energy_rows(table) == 30
         return 90
 
     @staticmethod
@@ -896,12 +900,15 @@ class TestPages:
         for p in got.pages:
             # each page owns one (2, rows, modes) array, trimmed to its rows
             assert p.a.base is p.b.base and p.a.base.shape == (2, len(p.a), table.mode_count)
-            assert not p.a.flags.writeable and p.t == got.times[row]
+            assert not p.a.flags.writeable and not p.t.flags.writeable
+            assert np.array_equal(p.t, got.times[row:row + len(p.a)])
             row += len(p.a)
         assert row == len(got.times)
-        one = Trajectory(got.times, [State(got.a, got.b, got.times[0])], [], {}, table)
+        paged = [energy_breakdown(p, table) for p in got.pages]
+        one = energy_breakdown(State(got.a, got.b), table)
         for f in fields(EnergyBreakdown):
-            assert np.array_equal(getattr(got.energy, f.name), getattr(one.energy, f.name))
+            assert np.array_equal(np.concatenate([getattr(e, f.name) for e in paged]),
+                                  getattr(one, f.name))
         assert np.array_equal(got.a0, got.a[:, 0]) and np.array_equal(got.b0, got.b[:, 0])
 
     @pytest.mark.parametrize("scheme", ["split2", "rk4"])
@@ -972,16 +979,17 @@ class TestReaders:
     @staticmethod
     def _assert_read(got, pages, kept):
         assert got.pages == [] and len(pages) >= 2
-        assert np.array_equal(got.times, kept.times)
+        assert np.array_equal(np.concatenate([p.t for p in pages]), kept.times)
         assert [t for t, _ in got.events] == [t for t, _ in kept.events]
         assert got.rejected == kept.rejected
         assert np.array_equal(np.concatenate([p.a for p in pages]), kept.a)
         assert np.array_equal(np.concatenate([p.b for p in pages]), kept.b)
         row = 0
         for p in pages:
-            assert p.t == kept.times[row] and not p.a.flags.writeable
+            assert np.array_equal(p.t, kept.times[row:row + len(p.a)])
+            assert not p.a.flags.writeable and not p.t.flags.writeable
             row += len(p.a)
-        for name in ("a", "b", "a0", "b0", "energy"):
+        for name in ("times", "a", "b", "a0", "b0"):
             with pytest.raises(InsufficientSamples, match="reader"):
                 getattr(got, name)
 
@@ -995,7 +1003,7 @@ class TestReaders:
         pages = []
         got = evolve_ensemble([s0], [cfg], table, 1, read=pages.append)[0]
         kept = evolve(s0, cfg, table, 1)
-        assert len(got.events) == 1 and round(got.times[-1] / cfg.dt) % _BLOCK_STEPS != 0
+        assert len(got.events) == 1 and round(pages[-1].t[-1] / cfg.dt) % _BLOCK_STEPS != 0
         self._assert_read(got, pages, kept)
 
     @pytest.mark.parametrize("scheme", ["split2", "rk4"])
@@ -1031,6 +1039,33 @@ class TestReaders:
                                         sample_stride=1), table)
         assert np.array_equal(np.concatenate([p.a for p in pages]), kept.a)
         assert np.array_equal(np.concatenate([p.b for p in pages]), kept.b)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme, a0, dt", [("split2", 9.0, 0.1), ("rk4", 0.1, 0.114)])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_page_times_of_a_non_finite_member(self, table, scheme, a0, dt, stride,
+                                               monkeypatch):
+        # the pages read before a blow-up carry one time per row, bit for bit
+        # those of a run to their last row (_assert_read checks the pages of
+        # a stop inside a block)
+        TestPages._paged(monkeypatch, table)
+        cfg = StepperConfig(dt=dt, scheme=scheme, max_time=100.0, sample_stride=stride)
+        s0 = TestBlockLoop._start(table, a0)
+        pages = []
+        (got,) = evolve_ensemble([s0], [cfg], table, read=pages.append)
+        assert isinstance(got, NonFiniteState) and pages
+        assert all(p.t.shape == (len(p.a),) for p in pages)
+        times = np.concatenate([p.t for p in pages])
+        steps = (len(times) - 1) * stride
+        kept = evolve(s0, replace(cfg, max_time=steps * dt), table)
+        assert round(kept.times[-1] / dt) == steps and np.array_equal(times, kept.times)
+
+    def test_reader_mode_times_raise(self, table):
+        cfg = StepperConfig(dt=1e-2, max_time=0.5, sample_stride=10)
+        (got,) = evolve_ensemble([TestBlockLoop._start(table)], [cfg], table,
+                                 read=lambda page: None)
+        with pytest.raises(InsufficientSamples, match="reader"):
+            got.times
 
     @pytest.mark.parametrize("scheme", ["split2", "rk4"])
     def test_none_entry_keeps_its_pages(self, table, scheme, monkeypatch):
