@@ -15,7 +15,7 @@ from .errors import (AssumptionViolated, DimensionMismatch, EmptyModeSet,
 from .spectra import (Mode, ModelParams, SpectrumTable, build_spectrum,
                       project_power, to_grid, to_modes)
 from .hamiltonian import (EnergyBreakdown, State, coupling_remainder, dist_x,
-                          energy_breakdown, force, hamiltonian, high_mode_energy,
+                          energy_breakdown, force, high_mode_energy,
                           potential_f, rhs, xnorm)
 from .integrators import (SectionSpec, StepperConfig, Trajectory, evolve,
                           evolve_ensemble, refine_crossing, rk4_step, split2_step)

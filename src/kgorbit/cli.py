@@ -319,22 +319,19 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(line % row)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+def _json_default(obj):
+    """``json.dump``'s hook for what it cannot write itself: numpy arrays
+    and the numpy scalars that are not floats (a float64 is a float, which
+    json writes by ``float.__repr__``)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: str, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **_jsonable(payload)}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump({"schema_version": SCHEMA_VERSION, **payload}, fh, indent=2,
+                  default=_json_default)
         fh.write("\n")
 
 

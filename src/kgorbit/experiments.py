@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyModeSet, DimensionMismatch, NonFiniteState, NoReturn, ValidationError
-from .hamiltonian import (State, dist_x, hamiltonian, high_mode_energy,
+from .hamiltonian import (State, dist_x, energy_breakdown, high_mode_energy,
                           i_j_equivalence_bound, potential_f, xnorm)
 from .integrators import SectionSpec, StepperConfig, Trajectory, evolve_ensemble
 from .spectra import ModelParams, SpectrumTable
@@ -346,7 +346,7 @@ def run_many_loops(s0: State, eta: float, band: DeltaBand, loop_budget: int,
         dist_ok = bool(max_dist <= dist_coefficient * eta ** 2)
     return StabilityReport(
         eta=eta, loop_records=records, J_series=(times, j_series),
-        H0=hamiltonian(s0, table), per_loop_growth=growth, fits=fits,
+        H0=energy_breakdown(s0, table).H, per_loop_growth=growth, fits=fits,
         j_within_regime=regime_exited_at is None, regime_exited_at=regime_exited_at,
         max_dist_to_orbit=max_dist, dist_coefficient=dist_coefficient,
         dist_within_bound=dist_ok,

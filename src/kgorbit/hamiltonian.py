@@ -16,7 +16,8 @@ energy J, and the nonlinear remainder r.  A second split H = b0^2/2
 into the quadratic part.  Both identities hold exactly here (up to
 rounding) because the grid quadrature is exact.  J needs no grid and has
 one home, ``high_mode_energy``; ``energy_breakdown`` adds the fields that
-do, and the coupling remainder q has its own function,
+do, H among them (``energy_breakdown(s, table).H`` is the total energy),
+and the coupling remainder q has its own function,
 ``coupling_remainder``, so that no energy diagnostic computes it unread.
 
 Closeness to a loop is measured in one energy-space norm, computed only in
@@ -36,11 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteState
-from .spectra import (_CHUNK_VALUES, ModelParams, SpectrumTable, _analysis, _grid_power,
+from .spectra import (ModelParams, SpectrumTable, _analysis, _chunk_rows, _grid_power,
                       _project_power_raw, _synthesis)
 
 __all__ = [
-    "State", "EnergyBreakdown", "potential_f", "force", "hamiltonian", "rhs",
+    "State", "EnergyBreakdown", "potential_f", "force", "rhs",
     "high_mode_energy", "energy_breakdown", "coupling_remainder", "xnorm",
     "dist_x", "i_j_equivalence_bound", "validate_state",
 ]
@@ -113,22 +114,6 @@ def force(x: float, params: ModelParams):
     return _bound_force(params)(x)
 
 
-def _energy(s: State, g: np.ndarray, table: SpectrumTable) -> tuple[float, float]:
-    """Total energy H and the grid mean of u^(2p+2), given the grid values
-    g of u; the quadrature of the nonlinear term is exact.  Reduces over
-    the last axis, so stacked states give one value per sample."""
-    params = table.params
-    mean_pow = np.mean(_grid_power(g, 2 * params.p + 2), axis=-1)
-    quad = 0.5 * np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2, axis=-1)
-    return quad + mean_pow / (2 * params.p + 2), mean_pow
-
-
-def hamiltonian(s: State, table: SpectrumTable) -> float:
-    """Total energy by exact quadrature of the nonlinear term."""
-    validate_state(s, table)
-    return float(_energy(s, _synthesis(s.a, table), table)[0])
-
-
 def rhs(s: State, table: SpectrumTable) -> State:
     """Time derivative of the state (canonical equations of the energy)."""
     validate_state(s, table)
@@ -156,7 +141,7 @@ def high_mode_energy(s: State, table: SpectrumTable):
 def _energy_rows(table: SpectrumTable) -> int:
     """Rows of one block of ``energy_breakdown``, which keeps about twice
     the kernel's grid-sized temporaries alive: half the kernel's rows."""
-    return max(1, _CHUNK_VALUES // (2 * table.n_nodes))
+    return _chunk_rows(2 * table.n_nodes)
 
 
 def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
@@ -180,13 +165,16 @@ def energy_breakdown(s: State, table: SpectrumTable) -> EnergyBreakdown:
 
 
 def _energy_fields(s: State, table: SpectrumTable) -> dict:
-    """The fields of ``energy_breakdown`` of one state or one block."""
+    """The fields of ``energy_breakdown`` of one state or one block; the
+    quadrature of the nonlinear term in H and r is exact."""
     J = high_mode_energy(s, table)      # validates s
     params = table.params
     p = params.p
     a0 = s.a[..., 0]
 
-    H, mean_pow = _energy(s, _synthesis(s.a, table), table)
+    mean_pow = np.mean(_grid_power(_synthesis(s.a, table), 2 * p + 2), axis=-1)
+    quad = 0.5 * np.sum((table.lam_sq - params.m ** 2) * s.a ** 2 + s.b ** 2, axis=-1)
+    H = quad + mean_pow / (2 * p + 2)
     r = (mean_pow - a0 ** (2 * p + 2)) / (2 * p + 2)
     shift = 0.5 * (2 * p + 1) * a0 ** (2 * p) * np.sum(s.a[..., 1:] ** 2, axis=-1)
     return dict(H=H, J=J, I=J + shift, r=r, r_hat=r - shift, f_a0=potential_f(a0, params))

@@ -85,7 +85,7 @@ import numpy as np
 
 from .errors import InsufficientSamples, NoCrossing, NonFiniteState
 from .hamiltonian import State, _energy_rows, validate_state
-from .spectra import _CHUNK_VALUES, SpectrumTable, _kernel_work, _project_power_raw
+from .spectra import SpectrumTable, _chunk_rows, _kernel_work, _project_power_raw
 
 __all__ = [
     "StepperConfig", "SectionSpec", "Trajectory",
@@ -557,10 +557,10 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
         return []
     for s in states:
         validate_state(s, table)
-    # a full page holds about _CHUNK_VALUES values of a, in whole blocks of
+    # a full page holds about one chunk of values of a, in whole blocks of
     # energy_breakdown, so it blocks a page's samples as it blocks them joined
     rows = _energy_rows(table)
-    page_rows = rows * max(1, _CHUNK_VALUES // (table.mode_count * rows))
+    page_rows = rows * _chunk_rows(table.mode_count * rows)
     members = [_Member(s, c, limit, page_rows, r)
                for s, c, limit, r in zip(states, cfgs, per_member["max_events"],
                                          per_member["read"])]
@@ -584,7 +584,7 @@ def evolve_ensemble(states, cfgs, table: SpectrumTable, max_events=None,
     # member's NonFiniteState or the J exit of a chain
     with np.errstate(over="ignore", invalid="ignore"):
         while active:
-            longest = min(_BLOCK_STEPS, max(1, _CHUNK_VALUES // y[0].size))
+            longest = min(_BLOCK_STEPS, _chunk_rows(y[0].size))
             if blocks is None or blocks.shape[1:] != y.shape:
                 blocks = None                      # free the old stack first
                 blocks = np.empty((longest + 1, *y.shape))

@@ -41,14 +41,20 @@ from .errors import AssumptionViolated, DimensionMismatch
 
 _KIND_NAMES = ("const", "cos", "sin")
 
-# Grid values per row block of a stacked transform: the kernel cuts a
-# stack into blocks of max(1, _CHUNK_VALUES // n_nodes) rows.  Beyond 1D
+# Values per block of a stacked computation, read only through
+# ``_chunk_rows``, which sizes the kernel's row blocks, the energy blocks,
+# and the pages and time-loop blocks of ``integrators``.  Beyond 1D
 # a stack costs more per member as it grows (transposing copies, and
 # temporaries that outgrow the cache or the allocator's reuse).  A sweep
 # of 2^11..2^18 over repeated kernel calls on 12- and 24-row stacks (1D
 # K=32, 2D K=3/8/16, 3D K=2/4) found 2^15 the fastest or tied in every
 # case.
 _CHUNK_VALUES = 1 << 15
+
+
+def _chunk_rows(values_per_row: int) -> int:
+    """Rows of ``values_per_row`` values each that fit one chunk, at least 1."""
+    return max(1, _CHUNK_VALUES // values_per_row)
 
 
 @dataclass(frozen=True)
@@ -335,7 +341,7 @@ def _kernel_work(rows: int, table: SpectrumTable):
     a column, and the coefficients with a view of their constant column.
     None where the kernel takes the general path (beyond 1D, or a stack
     deeper than one chunk), which reads no buffers."""
-    if len(table.grid_shape) != 1 or (rows > 1 and rows * table.n_nodes > _CHUNK_VALUES):
+    if len(table.grid_shape) != 1 or rows > _chunk_rows(table.n_nodes):
         return None
     grid, power = np.empty((rows, table.n_nodes)), np.empty((rows, table.n_nodes))
     coeffs = np.empty((rows, table.mode_count))
@@ -364,8 +370,8 @@ def _project_power_raw(a: np.ndarray, exponent: int, table: SpectrumTable,
     path applies, which always returns a new array.
     """
     if work is None and a.ndim == 2:
-        if len(a) > 1 and len(a) * table.n_nodes > _CHUNK_VALUES:
-            rows = max(1, _CHUNK_VALUES // table.n_nodes)
+        rows = _chunk_rows(table.n_nodes)
+        if len(a) > rows:
             return np.concatenate([_project_power_raw(a[i:i + rows], exponent, table)
                                    for i in range(0, len(a), rows)])
         work = _kernel_work(len(a), table)

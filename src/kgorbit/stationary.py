@@ -111,9 +111,9 @@ class Loop:
 
 @dataclass(frozen=True)
 class PeriodicOrbit(Loop):
-    """A loop with its far turning point and dense samples."""
+    """A loop with dense samples of its planar state: ``a0`` and ``b0`` at
+    ``times`` over one period, and its level b0^2 + f(a0) = f(eta)."""
 
-    eta_prime: float
     times: np.ndarray = field(repr=False)
     a0: np.ndarray = field(repr=False)
     b0: np.ndarray = field(repr=False)
@@ -262,7 +262,7 @@ def sample_orbit(eta: float, n_samples: int, params: ModelParams) -> PeriodicOrb
     a0, b0 = np.concatenate([rows[1:3] for rows, _ in blocks], axis=1)[:, ::stride]
     end_a, end_b = blocks[-1][1]
     return PeriodicOrbit(
-        eta=eta, eta_prime=turning_point(eta, params), period=T,
+        eta=eta, period=T,
         times=np.linspace(0.0, T, n_samples + 1), a0=np.append(a0, end_a),
         b0=np.append(b0, end_b), energy_level=float(potential_f(eta, params)),
     )

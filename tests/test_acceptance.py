@@ -14,7 +14,7 @@ import pytest
 
 from kgorbit import (ModelParams, PerturbationSpec, SectionSpec, State,
                      StepperConfig, build_spectrum, default_band, dist_x,
-                     evolve, floquet, hamiltonian, homoclinic, period,
+                     evolve, floquet, homoclinic, period,
                      perturb_near_orbit, run_first_returns, run_many_loops,
                      sample_orbit, turning_point)
 from kgorbit.experiments import linear_fit, power_law_fit
@@ -71,7 +71,7 @@ def return_sweep(table_k8, params_k8):
                                     distribution="random_direction", seed=seed)
             s0 = perturb_near_orbit(eta, spec, table_k8)
             j0 = energy_breakdown(s0, table_k8).J
-            h0 = hamiltonian(s0, table_k8)
+            h0 = energy_breakdown(s0, table_k8).H
             res = run_first_returns([s0], [eta], band, cfg, table_k8)[0]
             rows.append({"eta": eta, "seed": seed, "T": res.return_time,
                          "distance": res.distance, "J0": j0,
@@ -230,8 +230,8 @@ def test_criterion_10_gradient_check(table_k1):
             sp, sm = s.copy(), s.copy()
             sp.a[n] += h
             sm.a[n] -= h
-            fd = -(hamiltonian(sp, table_k1)
-                   - hamiltonian(sm, table_k1)) / (2 * h)
+            fd = -(energy_breakdown(sp, table_k1).H
+                   - energy_breakdown(sm, table_k1).H) / (2 * h)
             denom = max(abs(fd), 1e-3)
             worst = max(worst, abs(deriv.b[n] - fd) / denom)
     report(10, worst <= 1e-6,

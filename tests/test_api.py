@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -58,17 +59,29 @@ def test_export_lists_name_what_exists():
     assert checked
 
 
+def test_package_attributes_named_after_modules_are_the_modules():
+    # a function re-exported under its module's name would shadow the
+    # module: `from kgorbit import m` and monkeypatch("kgorbit.m._X")
+    # would both reach the function
+    import kgorbit
+    names = [info.name for info in pkgutil.iter_modules(kgorbit.__path__)]
+    assert set(MODULES) <= set(names)
+    for name in names:
+        importlib.import_module(f"kgorbit.{name}")
+        assert inspect.ismodule(getattr(kgorbit, name)), name
+
+
 # Every private name one kgorbit module imports from another: a new
 # coupling through a private name has to be added here by name.
 PRIVATE_IMPORTS = {
     ("cli", "experiments", "_check_seed"),
-    ("hamiltonian", "spectra", "_CHUNK_VALUES"),
     ("hamiltonian", "spectra", "_analysis"),
+    ("hamiltonian", "spectra", "_chunk_rows"),
     ("hamiltonian", "spectra", "_grid_power"),
     ("hamiltonian", "spectra", "_project_power_raw"),
     ("hamiltonian", "spectra", "_synthesis"),
     ("integrators", "hamiltonian", "_energy_rows"),
-    ("integrators", "spectra", "_CHUNK_VALUES"),
+    ("integrators", "spectra", "_chunk_rows"),
     ("integrators", "spectra", "_kernel_work"),
     ("integrators", "spectra", "_project_power_raw"),
     ("stationary", "hamiltonian", "_bound_force"),

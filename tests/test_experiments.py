@@ -7,7 +7,7 @@ import pytest
 
 from kgorbit import (EmptyModeSet, ModelParams, NonFiniteState, PerturbationSpec, State,
                      StepperConfig, ValidationError, build_spectrum,
-                     default_band, dist_x, hamiltonian, NoReturn, period,
+                     default_band, dist_x, NoReturn, period,
                      perturb_near_orbit, run_first_returns, run_many_loops)
 from kgorbit.experiments import linear_fit, period_scaling_sweep, power_law_fit
 from kgorbit.hamiltonian import energy_breakdown
@@ -132,7 +132,7 @@ class TestPerturbNearOrbit:
             spec = PerturbationSpec(amplitude=eta ** 3, mode_set=tuple(range(1, 9)),
                                     distribution="equipartition")
             s = perturb_near_orbit(eta, spec, table8)
-            gaps.append(abs(hamiltonian(s, table8)
+            gaps.append(abs(energy_breakdown(s, table8).H
                             + 0.5 * params8.m ** 2 * eta ** 2))
         fit = power_law_fit(etas, gaps)
         assert fit["exponent"] >= 3.0

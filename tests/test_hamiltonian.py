@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kgorbit import (DimensionMismatch, ModelParams, NonFiniteState, State, build_spectrum,
-                     coupling_remainder, dist_x, energy_breakdown, force, hamiltonian,
+                     coupling_remainder, dist_x, energy_breakdown, force,
                      high_mode_energy, potential_f, project_power, rhs, xnorm)
 from kgorbit.hamiltonian import i_j_equivalence_bound
 
@@ -45,16 +45,16 @@ class TestPotential:
 
 class TestHamiltonian:
     def test_zero_state(self, table):
-        assert hamiltonian(make_state(table), table) == 0.0
+        assert energy_breakdown(make_state(table), table).H == 0.0
 
     def test_planar_value(self, table):
         # H of (eta, 0) is f(eta)/2
         s = make_state(table, a0=0.1)
-        assert hamiltonian(s, table) == pytest.approx(-0.001225, rel=1e-13)
+        assert energy_breakdown(s, table).H == pytest.approx(-0.001225, rel=1e-13)
 
     def test_separatrix_tip_has_zero_energy(self, table, params):
         s = make_state(table, a0=params.separatrix_amplitude)
-        assert hamiltonian(s, table) == pytest.approx(0.0, abs=1e-15)
+        assert energy_breakdown(s, table).H == pytest.approx(0.0, abs=1e-15)
 
     def test_gradient_consistency(self, table, rng):
         # rhs must agree with central finite differences of H (step 1e-6)
@@ -67,7 +67,7 @@ class TestHamiltonian:
                 sp, sm = s.copy(), s.copy()
                 sp.a[n] += h
                 sm.a[n] -= h
-                fd = -(hamiltonian(sp, table) - hamiltonian(sm, table)) / (2 * h)
+                fd = -(energy_breakdown(sp, table).H - energy_breakdown(sm, table).H) / (2 * h)
                 assert deriv.b[n] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_invariant_plane_exact(self, table):
@@ -147,7 +147,7 @@ class TestEnergyBreakdown:
         for _ in range(10):
             s = random_state(table, rng)
             bd = energy_breakdown(s, table)
-            H = hamiltonian(s, table)
+            H = energy_breakdown(s, table).H
             a0, b0 = s.a[0], s.b[0]
             lhs1 = 0.5 * b0 ** 2 + 0.5 * bd.f_a0 + bd.J + bd.r
             lhs2 = 0.5 * b0 ** 2 + 0.5 * bd.f_a0 + bd.I + bd.r_hat

@@ -1,4 +1,3 @@
-import importlib
 import math
 import sys
 import tracemalloc
@@ -274,7 +273,7 @@ class TestEvolve:
     def test_square_torus_dynamics(self):
         # the tensor-grid path: planar exactness, bounded energy error and
         # gradient consistency on a 2-torus
-        from kgorbit import ModelParams, build_spectrum, hamiltonian, rhs
+        from kgorbit import ModelParams, build_spectrum, rhs
         p2 = ModelParams(m=0.5, p=1, dim=2, cutoff=2, periods=(1.0, 1.0))
         t2 = build_spectrum(p2)
         a = np.zeros(t2.mode_count)
@@ -298,7 +297,7 @@ class TestEvolve:
             sp, sm = s.copy(), s.copy()
             sp.a[n] += step
             sm.a[n] -= step
-            fd = -(hamiltonian(sp, t2) - hamiltonian(sm, t2)) / (2 * step)
+            fd = -(energy_breakdown(sp, t2).H - energy_breakdown(sm, t2).H) / (2 * step)
             assert deriv.b[n] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -828,11 +827,10 @@ class TestBlockStack:
         for g, r in zip(got, ref):
             TestBlockLoop._assert_same(g, r, table)
 
-    def test_block_length_counts_positions_only(self, monkeypatch):
-        # 12 members of 65 modes: 2^15 // (12 * 65) = 42 steps per block,
-        # from the positions alone, not the (2, rows, modes) phase-space pair
-        from kgorbit import ModelParams, build_spectrum, integrators
-        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=32))
+    @staticmethod
+    def _record_blocks(monkeypatch):
+        """Steps per block of the time loop, and the depths of its stacks."""
+        from kgorbit import integrators
         blocks, depths = [], set()
 
         def recorded(*args):
@@ -848,6 +846,14 @@ class TestBlockStack:
             return counted
 
         monkeypatch.setattr(integrators, "_stage", recorded)
+        return blocks, depths
+
+    def test_block_length_counts_positions_only(self, monkeypatch):
+        # 12 members of 65 modes: 2^15 // (12 * 65) = 42 steps per block,
+        # from the positions alone, not the (2, rows, modes) phase-space pair
+        from kgorbit import ModelParams, build_spectrum
+        table = build_spectrum(ModelParams(m=0.5, p=1, dim=1, cutoff=32))
+        blocks, depths = self._record_blocks(monkeypatch)
         starts = [TestBlockLoop._start(table, 0.05 + 0.01 * k) for k in range(12)]
         cfg = StepperConfig(dt=1e-3, scheme="rk4", max_time=0.1, sample_stride=10)
         evolve_ensemble(starts, [cfg] * 12, table)
@@ -885,12 +891,34 @@ class TestPages:
     def _paged(monkeypatch, table):
         # 1024 values per chunk: 1D K=4 (9 modes, 17 nodes) energy blocks
         # of 30 rows and pages of 3 blocks, 90 rows; blocks keep 64 steps
-        from kgorbit import integrators
-        hamiltonian = importlib.import_module("kgorbit.hamiltonian")  # not the function
-        monkeypatch.setattr(integrators, "_CHUNK_VALUES", 1024)
-        monkeypatch.setattr(hamiltonian, "_CHUNK_VALUES", 1024)
+        from kgorbit import hamiltonian, spectra
+        monkeypatch.setattr(spectra, "_CHUNK_VALUES", 1024)
         assert hamiltonian._energy_rows(table) == 30
         return 90
+
+    def test_one_patch_sizes_every_block(self, table, monkeypatch):
+        # with 1024 values per chunk, 1D K=4: kernel blocks of 1024 // 17
+        # = 60 rows, and 12 members of 9 modes step in blocks of
+        # 1024 // 108 = 9 steps, each member's samples in pages of 90 rows
+        from kgorbit import spectra
+        page_rows = self._paged(monkeypatch, table)
+        assert spectra._kernel_work(60, table) is not None
+        assert spectra._kernel_work(61, table) is None
+        rows, raw = [], spectra._project_power_raw
+
+        def counted(a, *args, **kwargs):
+            rows.append(len(a))
+            return raw(a, *args, **kwargs)
+        monkeypatch.setattr(spectra, "_project_power_raw", counted)
+        spectra._project_power_raw(np.zeros((121, table.mode_count)), 3, table)
+        assert rows == [121, 60, 60, 1]
+
+        blocks, depths = TestBlockStack._record_blocks(monkeypatch)
+        starts = [TestBlockLoop._start(table, 0.05 + 0.01 * k) for k in range(12)]
+        cfg = StepperConfig(dt=1e-2, max_time=2.0, sample_stride=1)
+        got = evolve_ensemble(starts, [cfg] * 12, table)
+        assert blocks == [9] * 22 + [2] and depths == {9 + 1}
+        assert all([len(p.a) for p in g.pages] == [page_rows, page_rows, 21] for g in got)
 
     @staticmethod
     def _assert_pages(got, table, page_rows):
