@@ -352,13 +352,17 @@ def _initial_state(cfg: RunConfig, table, eta: float, seed=None):
     return perturb_near_orbit(eta, spec, table)
 
 
-def _evolve_with_drift(cfg: RunConfig, table):
+_SIMULATE_SERIES = ("t", "a0", "b0", "H", "J", "I", "r")
+
+
+def _evolve_with_drift(cfg: RunConfig, table, names=_SIMULATE_SERIES):
     """Evolve the start of ``simulate`` and ``energy-check``, the turning
     point itself unless amplitude or modes are set.  Each page of samples
-    is read as the time loop closes it, into its times, its a0 and b0
-    columns and the H, J, I and r of its ``energy_breakdown``, and then
-    dropped.  Returns those seven series by their CSV names, the
-    H - H(0) series and that series' least-squares slope."""
+    is read as the time loop closes it: of its times, its a0 and b0
+    columns and the H, J, I and r of its ``energy_breakdown``, a copy of
+    the series ``names`` is kept and the page dropped.  Returns those
+    series by their CSV names, the H - H(0) series and that series'
+    least-squares slope."""
     ex = cfg.experiment
     if ex.amplitude is None and ex.modes is None:
         s0 = perturb_near_orbit(ex.eta, PerturbationSpec(amplitude=0.0, mode_set=()), table)
@@ -368,13 +372,14 @@ def _evolve_with_drift(cfg: RunConfig, table):
 
     def read(page):
         e = energy_breakdown(page, table)
-        pages.append((page.t, page.a[:, 0].copy(), page.b[:, 0].copy(), e.H, e.J, e.I, e.r))
+        series = {"t": page.t, "a0": page.a[:, 0], "b0": page.b[:, 0],
+                  "H": e.H, "J": e.J, "I": e.I, "r": e.r}
+        pages.append([np.array(series[name]) for name in names])
 
     traj = evolve_ensemble([s0], [cfg.stepper], table, read=read)[0]
     if isinstance(traj, NonFiniteState):
         raise traj
-    series = {name: np.concatenate(column)
-              for name, column in zip(("t", "a0", "b0", "H", "J", "I", "r"), zip(*pages))}
+    series = {name: np.concatenate(column) for name, column in zip(names, zip(*pages))}
     dh = series["H"] - series["H"][0]
     return series, dh, linear_fit(series["t"], dh)["slope"]
 
@@ -491,7 +496,7 @@ def _run_floquet(cfg: RunConfig, table, out: dict):
 
 def _run_energy_check(cfg: RunConfig, table, out: dict):
     ex = cfg.experiment
-    series, dh, drift = _evolve_with_drift(cfg, table)
+    series, dh, drift = _evolve_with_drift(cfg, table, ("t", "H"))
     anomaly = abs(drift) > ex.drift_tol
     out["csv"] = (["t", "H_minus_H0"], _rows(series["t"], dh))
     out["json"] = {

@@ -16,7 +16,9 @@ loop approaches the saddle.  This module provides the closed forms, the
 period as a singularity-free quadrature, level-set projection/distance,
 and Floquet monodromies of nonconstant modes driven by the loop.  One
 scalar RK4 pass (``_planar_rk4``) integrates the planar system for both
-the monodromies and the loop samples; one vectorised bisection
+the monodromies and the loop samples, recording only step values (the
+monodromies rebuild the stage positions in numpy, ``_rk4_stages``, bit
+for bit); one vectorised bisection
 (``invert_potential``, a single level being its one-element case) finds
 the turning point and every projection.
 """
@@ -224,47 +226,61 @@ _RK4_BLOCK = 1024  # steps per block: bounds memory, amortises numpy calls
 def _planar_rk4(eta: float, T: float, n_steps: int, params: ModelParams):
     """Scalar fixed-step RK4 from (eta, 0): n_steps steps of h = T/n_steps.
     Yields blocks of at most _RK4_BLOCK steps as ``(rows, (a, b))``: rows
-    (6, steps) hold each step's start t, a, b and a at stages 2-4, and
-    (a, b) is the state after the block's last step."""
+    (2, steps) hold each step's start a and b, and (a, b) is the state
+    after the block's last step.  The stage values are not recorded;
+    ``_rk4_stages`` rebuilds them from the rows."""
     h = T / n_steps
     hh, h6 = 0.5 * h, h / 6.0
     f = _bound_force(params)
-    a, b, t = float(eta), 0.0, 0.0
+    a, b = float(eta), 0.0
     for first in range(0, n_steps, _RK4_BLOCK):
         record = []
         for _ in range(min(_RK4_BLOCK, n_steps - first)):
             f1 = f(a)
-            a2, b2 = a + hh * b, b + hh * f1
-            f2 = f(a2)
-            a3, b3 = a + hh * b2, b + hh * f2
-            f3 = f(a3)
-            a4, b4 = a + h * b3, b + h * f3
-            f4 = f(a4)
-            record += (t, a, b, a2, a3, a4)
-            a = a + h6 * (b + 2 * b2 + 2 * b3 + b4)
-            b = b + h6 * (f1 + 2 * f2 + 2 * f3 + f4)
-            t += h
-        yield np.array(record).reshape(-1, 6).T, (a, b)
+            b2 = b + hh * f1
+            f2 = f(a + hh * b)
+            b3 = b + hh * f2
+            f3 = f(a + hh * b2)
+            b4 = b + h * f3
+            f4 = f(a + h * b3)
+            record += (a, b)
+            # 2.0, not 2: the same bits, but a float-by-float product,
+            # which CPython runs on a faster path than int-by-float
+            a = a + h6 * (b + 2.0 * b2 + 2.0 * b3 + b4)
+            b = b + h6 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+        yield np.array(record).reshape(-1, 2).T, (a, b)
+
+
+def _rk4_stages(a: np.ndarray, b: np.ndarray, h: float, params: ModelParams):
+    """Stage positions a2, a3 and a4 of the planar RK4 steps of size h that
+    start at the arrays (a, b).  The formulas and the force closure are
+    those of ``_planar_rk4``, whose closure gives the same bits on arrays
+    as on floats, so these are bit for bit the values its loop formed."""
+    f, hh = _bound_force(params), 0.5 * h
+    a2 = a + hh * b
+    return a2, a + hh * (b + hh * f(a)), a + h * (b + hh * f(a2))
 
 
 def sample_orbit(eta: float, n_samples: int, params: ModelParams) -> PeriodicOrbit:
     """Equal-time samples of one loop from (eta, 0), times 0..T over
     n_samples intervals: every stride-th step start of the ``floquet``
     planar RK4 pass with steps h = T/(n_samples stride) <= 1e-3, and its
-    end state at T.  For p = 1 and n_samples = 4096 they match the closed
-    form eta' dn(beta (t - T/2), k) to 5e-14 for eta >= 0.01 and to 9e-13
-    at eta = 1e-3."""
+    end state at T.  Each block of the pass is strided as it arrives, so
+    the call holds one block plus the kept samples.  For p = 1 and
+    n_samples = 4096 they match the closed form eta' dn(beta (t - T/2), k)
+    to 2.5e-15 at eta = 0.1, 5.1e-14 at 0.01 and 5.6e-13 at 1e-3."""
     if n_samples < 16:
         raise OutOfRange(f"n_samples must be >= 16, got {n_samples}")
     T = period(eta, params)
     stride = int(np.ceil(T / (n_samples * 1e-3)))
-    blocks = list(_planar_rk4(eta, T, n_samples * stride, params))
-    a0, b0 = np.concatenate([rows[1:3] for rows, _ in blocks], axis=1)[:, ::stride]
-    end_a, end_b = blocks[-1][1]
+    kept, done = [], 0
+    for rows, end in _planar_rk4(eta, T, n_samples * stride, params):
+        kept.append(rows[:, -done % stride::stride].copy())
+        done += rows.shape[1]
+    a0, b0 = np.concatenate(kept + [np.reshape(end, (2, 1))], axis=1)
     return PeriodicOrbit(
-        eta=eta, period=T,
-        times=np.linspace(0.0, T, n_samples + 1), a0=np.append(a0, end_a),
-        b0=np.append(b0, end_b), energy_level=float(potential_f(eta, params)),
+        eta=eta, period=T, times=np.linspace(0.0, T, n_samples + 1), a0=a0, b0=b0,
+        energy_level=float(potential_f(eta, params)),
     )
 
 
@@ -457,22 +473,26 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     (returns a list of Monodromy in the same order); all modes share one
     pass over the loop.  That planar pass (``_planar_rk4``) re-integrates
     the loop from (eta, 0) by scalar fixed-step RK4 with n = max(16,
-    ceil(T/dt)) steps, one block of stage values at a time, rather than
-    interpolating stored samples, because interpolation error would
-    pollute the determinant-1 identity; halving dt must leave the multipliers
-    unchanged to rounding.  For each block the exact RK4 step matrix of
-    every mode's linear system is built from the stage coefficients as a
-    stacked (steps, modes, 2, 2) offset from the identity; the block is
-    multiplied by pairwise reduction, one ``L + E + L @ E`` (matmul over
-    the stack) per tree level, and folded into the running product in
-    time order the same way, so the working memory does not grow with
-    T/dt.  This equals RK4 on the joint planar-plus-fundamental system up
-    to rounding.  Each Monodromy's determinant and multipliers are closed
-    forms in its four entries, so the call runs no ``numpy.linalg`` routine.
+    ceil(T/dt)) steps, rather than interpolating stored samples, because
+    interpolation error would pollute the determinant-1 identity; halving
+    dt must leave the multipliers unchanged to rounding.  The pass yields
+    the step-start values a block at a time, and the block's stage
+    positions are rebuilt from them in numpy (``_rk4_stages``), bit for
+    bit those of the scalar loop.  For each block the exact RK4 step
+    matrix of every mode's linear system is built from the stage
+    coefficients as a stacked (steps, modes, 2, 2) offset from the
+    identity; the block is multiplied by pairwise reduction, one
+    ``L + E + L @ E`` (matmul over the stack) per tree level, and folded
+    into the running product in time order the same way, so the working
+    memory does not grow with T/dt.  This equals RK4 on the joint
+    planar-plus-fundamental system up to rounding.  Each Monodromy's
+    determinant and multipliers are closed forms in its four entries, so
+    the call runs no ``numpy.linalg`` routine.
     Passing ``potential`` (a callable of t) replaces the loop-driven V,
-    e.g. ``lambda t: 0.0`` for the constant-coefficient check.  Raises
-    OutOfRange when dt is not finite and > 0, and, naming lambda and dt,
-    when a monodromy overflows.
+    e.g. ``lambda t: 0.0`` for the constant-coefficient check; it is
+    called at the stage times k h, k h + h/2 and k h + h of step k, and
+    only then are the step times built.  Raises OutOfRange when dt is not
+    finite and > 0, and, naming lambda and dt, when a monodromy overflows.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise OutOfRange(f"dt must be finite and > 0, got {dt!r}")
@@ -485,14 +505,17 @@ def floquet(orbit: Loop, lambda_n, params: ModelParams,
     h = T / n_steps
     hh = 0.5 * h
     total = np.zeros((len(w2), 2, 2))
+    done = 0
     # an overflowing product is reported by the finiteness check below alone
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows, _ in _planar_rk4(orbit.eta, T, n_steps, params):
-            t, a1, _, a2, a3, a4 = rows
+        for (a, b), _ in _planar_rk4(orbit.eta, T, n_steps, params):
             if potential is None:
-                v = [(2 * params.p + 1) * a ** (2 * params.p) for a in (a1, a2, a3, a4)]
+                v = [(2 * params.p + 1) * x ** (2 * params.p)
+                     for x in (a, *_rk4_stages(a, b, h, params))]
             else:
+                t = h * np.arange(done, done + a.size, dtype=float)
                 v = [np.array([potential(s) for s in ts]) for ts in (t, t + hh, t + hh, t + h)]
+            done += a.size
             block = _tree_product(_step_propagators(*(-w2 - vi[:, None] for vi in v), h))
             total = block + total + block @ total
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from kgorbit import (ParseError, State, ValidationError, build_spectrum, energy_breakdown,
-                     evolve_ensemble, parse_config, run, serialize_config)
-from kgorbit.cli import _initial_state, _write_csv, main
+                     evolve, evolve_ensemble, parse_config, run, serialize_config)
+from kgorbit.cli import _initial_state, _write_csv, _write_json, main
+from kgorbit.experiments import linear_fit
 from kgorbit.stationary import floquet, sample_orbit
 
 MINIMAL = """\
@@ -247,7 +248,6 @@ class TestRun:
         # keeps none of them, and its CSV equals the one written from a run
         # that keeps its samples, bit for bit
         import kgorbit.cli as cli
-        from kgorbit import evolve
         runs = []
 
         def recorded(*args, **kwargs):
@@ -272,6 +272,43 @@ class TestRun:
             header, columns = ["t", "H_minus_H0"], (kept.times, e.H - e.H[0])
         _write_csv(str(tmp_path / "kept.csv"), header, zip(*(c.tolist() for c in columns)))
         assert (tmp_path / f"{kind}.csv").read_bytes() == (tmp_path / "kept.csv").read_bytes()
+
+    def test_energy_check_keeps_t_and_h_and_writes_the_kept_run(self, tmp_path, monkeypatch):
+        # energy-check keeps two series per page, not the seven of simulate;
+        # its CSV and JSON are those computed from a run that keeps every
+        # sample, byte for byte
+        import kgorbit.cli as cli
+        kept_names = []
+
+        def recorded(*args, **kwargs):
+            result = evolve_with_drift(*args, **kwargs)
+            kept_names.append(list(result[0]))
+            return result
+
+        evolve_with_drift = cli._evolve_with_drift
+        monkeypatch.setattr(cli, "_evolve_with_drift", recorded)
+        cfg = parse_config(MINIMAL.replace("kind = simulate", "kind = energy-check").replace(
+            "max_time = 2.0\nsample_stride = 100", "max_time = 6.0\nsample_stride = 1").replace(
+            "eta = 0.1", "eta = 0.1\namplitude = 1e-3\nmodes = 1,2,3"))
+        cfg.output_dir = str(tmp_path)
+        code = run(cfg)
+        assert kept_names == [["t", "H"]]
+        table = build_spectrum(cfg.model)
+        kept = evolve(_initial_state(cfg, table, 0.1), cfg.stepper, table)
+        dh = energy_breakdown(State(kept.a, kept.b), table).H
+        dh = dh - dh[0]
+        drift = linear_fit(kept.times, dh)["slope"]
+        anomaly = abs(drift) > cfg.experiment.drift_tol
+        assert code == (2 if anomaly else 0)
+        _write_csv(str(tmp_path / "kept.csv"), ["t", "H_minus_H0"],
+                   zip(kept.times.tolist(), dh.tolist()))
+        _write_json(str(tmp_path / "kept.json"), {
+            "experiment": "energy-check", "eta": 0.1, "drift_slope": drift,
+            "drift_tol": cfg.experiment.drift_tol,
+            "max_abs_deviation": float(np.abs(dh).max()), "anomaly": anomaly})
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"energy-check.{suffix}").read_bytes() \
+                == (tmp_path / f"kept.{suffix}").read_bytes()
 
     def test_period_sweep(self, tmp_path):
         text = MINIMAL.replace("kind = simulate\neta = 0.1",

@@ -8,7 +8,7 @@ import pytest
 from kgorbit import (DimensionMismatch, ModelParams, NonFiniteState, State, build_spectrum,
                      coupling_remainder, dist_x, energy_breakdown, force,
                      high_mode_energy, potential_f, project_power, rhs, xnorm)
-from kgorbit.hamiltonian import i_j_equivalence_bound
+from kgorbit.hamiltonian import _bound_force, i_j_equivalence_bound
 
 
 def make_state(table, a0=0.0, b0=0.0):
@@ -41,6 +41,19 @@ class TestPotential:
         for x in rng.uniform(-1.5, 1.5, size=20):
             slope = potential_f(complex(x, h), params).imag / h
             assert slope == pytest.approx(-2.0 * force(x, params), rel=1e-13, abs=1e-16)
+
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_bound_force_same_bits_on_float_and_array(self, params, rng, p):
+        # products round alike in Python and numpy, where powers need not:
+        # x ** 3 differs in the last bit for some x on some hosts
+        pr = ModelParams(m=params.m, p=p, dim=1, cutoff=1)
+        f = _bound_force(pr)
+        x = rng.uniform(0.0, 2.0, 100_000)
+        on_array = f(x)
+        assert np.array_equal(on_array, [f(v) for v in x.tolist()])
+        np.testing.assert_allclose(on_array, pr.m ** 2 * x - x ** (2 * p + 1),
+                                   rtol=1e-13, atol=1e-15)
 
 
 class TestHamiltonian:

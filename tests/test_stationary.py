@@ -15,7 +15,8 @@ from kgorbit import (Loop, ModelParams, Monodromy, OutOfRange, PlanarState,
                      invert_potential, period, potential_f, project_to_orbit,
                      sample_orbit, turning_point, xnorm)
 from kgorbit import stationary
-from kgorbit.stationary import _GL_NODES, _GL_WEIGHTS, _project, _w_factor
+from kgorbit.stationary import (_GL_NODES, _GL_WEIGHTS, _RK4_BLOCK, _planar_rk4, _project,
+                                _rk4_stages, _w_factor)
 
 M = 0.5  # the mass of the params fixture
 
@@ -203,6 +204,64 @@ class TestSampleOrbit:
             beta, kp2 = eta_p / math.sqrt(2.0), (eta / eta_p) ** 2
             dn = ellipj(beta * (orbit.times - 0.5 * orbit.period), 1.0 - kp2)[2]
             assert np.abs(orbit.a0 - eta_p * dn).max() <= 1e-12
+
+
+    def test_working_memory_independent_of_steps(self, params):
+        # 59k steps at eta = 1e-6; the whole loop's step values alone would
+        # take 0.9 MiB, and the blocks are strided as they arrive
+        sample_orbit(1e-6, 64, params)
+        peaks = []
+        for eta in (0.1, 1e-6):
+            tracemalloc.start()
+            try:
+                sample_orbit(eta, 64, params)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 ** 18
+        assert peaks[1] < 1.25 * peaks[0]
+
+
+def scalar_rk4(eta, T, n_steps, params):
+    """Classical RK4 on the planar system one scalar step at a time:
+    rows (5, n_steps) of each step's start a, b and its stage positions
+    a2, a3, a4, and the end state."""
+    h = T / n_steps
+    hh = 0.5 * h
+    a, b, rows = float(eta), 0.0, []
+    for _ in range(n_steps):
+        f1 = force(a, params)
+        a2, b2 = a + hh * b, b + hh * f1
+        f2 = force(a2, params)
+        a3, b3 = a + hh * b2, b + hh * f2
+        f3 = force(a3, params)
+        a4, b4 = a + h * b3, b + h * f3
+        f4 = force(a4, params)
+        rows.append((a, b, a2, a3, a4))
+        a = a + h / 6.0 * (b + 2 * b2 + 2 * b3 + b4)
+        b = b + h / 6.0 * (f1 + 2 * f2 + 2 * f3 + f4)
+    return np.array(rows).T, (a, b)
+
+
+class TestPlanarPass:
+    @pytest.mark.parametrize("n_steps", [16, 2 * _RK4_BLOCK + 37])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_rows_and_stages_equal_scalar_rk4(self, p, n_steps):
+        # the pass records step values only; the stage positions rebuilt
+        # from them in numpy are the loop's own, bit for bit
+        pr = ModelParams(m=M, p=p, dim=1, cutoff=1)
+        for eta in (0.5 * pr.center, 0.2 * pr.center, 0.1 * pr.center):
+            T = period(eta, pr)
+            ref, end = scalar_rk4(eta, T, n_steps, pr)
+            assert np.isfinite(ref).all()
+            blocks = list(_planar_rk4(eta, T, n_steps, pr))
+            sizes = [rows.shape[1] for rows, _ in blocks]
+            assert sum(sizes) == n_steps and max(sizes) <= _RK4_BLOCK
+            rows = np.concatenate([rows for rows, _ in blocks], axis=1)
+            assert np.array_equal(rows, ref[:2])
+            assert blocks[-1][1] == end
+            stages = _rk4_stages(rows[0], rows[1], T / n_steps, pr)
+            assert np.array_equal(np.array(stages), ref[2:])
 
 
 class TestBand:
@@ -547,10 +606,19 @@ def joint_rk4_monodromy(orbit, lambda_n, params, dt, potential=None):
 class TestFloquet:
     def test_matches_joint_rk4_reference(self, params):
         orbit = sample_orbit(0.1, 64, params)
-        for potential in (None, lambda t: 0.0):
+        for potential in (None, lambda t: 0.0, lambda t: 0.3 * math.cos(t)):
             for lam in (2 * math.pi, 4 * math.pi):
                 mono = floquet(orbit, lam, params, dt=1e-3, potential=potential)
                 ref = joint_rk4_monodromy(orbit, lam, params, 1e-3, potential)
+                assert np.max(np.abs(mono.matrix - ref)) <= 1e-12
+
+    def test_matches_joint_rk4_reference_at_p2(self):
+        pr = ModelParams(m=M, p=2, dim=1, cutoff=1)
+        loop = Loop(0.1, period(0.1, pr))
+        for potential in (None, lambda t: 0.3 * math.cos(t)):
+            for lam in (2 * math.pi, 4 * math.pi):
+                mono = floquet(loop, lam, pr, dt=1e-3, potential=potential)
+                ref = joint_rk4_monodromy(loop, lam, pr, 1e-3, potential)
                 assert np.max(np.abs(mono.matrix - ref)) <= 1e-12
 
     def test_sequence_equals_scalar_calls(self, params):
